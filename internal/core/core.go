@@ -88,14 +88,6 @@ type Params struct {
 	// DistanceWeights override wr per distance; the zero value
 	// selects DefaultDistanceWeights.
 	DistanceWeights [3]float64
-	// ScoreWorkers bounds the index-scoring worker pool for this
-	// query when the finder's index is sharded
-	// (index.ParallelSearcher): 0 keeps the index's own
-	// GOMAXPROCS-sized default, 1 forces sequential shard scoring,
-	// larger values allow up to that many concurrent shard scorers.
-	// Ignored for non-sharded indexes. Results are identical for any
-	// value — the knob trades latency against CPU, never output.
-	ScoreWorkers int
 	// TopK, when positive, bounds the relevant-resource list to the k
 	// best-ranked reachable matches, letting the index prune documents
 	// that provably cannot enter the top k (MaxScore early
@@ -143,10 +135,7 @@ func (p Params) window(matches int) int {
 // same semantics share a fingerprint: implicit defaults resolve to
 // their effective values (a zero Alpha to DefaultAlpha, zero weights
 // to DefaultDistanceWeights, a zero WindowSize to DefaultWindowSize),
-// and traversal networks are order-insensitive. ScoreWorkers is
-// deliberately excluded — it trades latency against CPU but never
-// changes the output (the sharded-scoring bit-equality guarantee), so
-// queries differing only in worker bound share cache entries.
+// and traversal networks are order-insensitive.
 func (p Params) Fingerprint() string {
 	w := p.weights()
 	var win string
@@ -244,10 +233,9 @@ type Finder struct {
 	rcmCache map[string]map[socialgraph.ResourceID][]socialgraph.CandidateDistance
 }
 
-// NewFinder assembles a Finder. ix is either a monolithic
-// *index.Index or an *index.Sharded (the Params.ScoreWorkers knob
-// applies to the latter). candidates is the expert-candidate pool CE;
-// nil selects every candidate user in the graph.
+// NewFinder assembles a Finder. ix is any index backend (*index.Index,
+// *index.Sharded or *index.Store). candidates is the expert-candidate
+// pool CE; nil selects every candidate user in the graph.
 func NewFinder(g *socialgraph.Graph, ix index.Searcher, pipe *analysis.Pipeline, candidates []socialgraph.UserID) *Finder {
 	if candidates == nil {
 		candidates = g.Candidates()
@@ -308,36 +296,23 @@ func (f *Finder) Graph() *socialgraph.Graph { return f.graph }
 // Index returns the underlying resource index.
 func (f *Finder) Index() index.Searcher { return f.index }
 
-// score runs Eq. (1) matching, honoring the per-query worker bound
-// when the index supports parallel shard scoring.
-func (f *Finder) score(need analysis.Analyzed, p Params) []index.ScoredDoc {
-	if p.ScoreWorkers != 0 {
-		if ps, ok := f.index.(index.ParallelSearcher); ok {
-			return ps.ScoreWorkers(need, p.alpha(), p.ScoreWorkers)
-		}
-	}
-	return f.index.Score(need, p.alpha())
-}
-
-// scoreMatches produces the relevant-resource list: Eq. (1) matches
-// restricted to the reachable set. With TopK set, the reachability
-// filter rides into the index as the accept predicate so the pruned
-// evaluation bounds exactly the list the pipeline consumes; the result
-// is byte-identical to the exhaustive filtered ranking truncated to k.
-func (f *Finder) scoreMatches(need analysis.Analyzed, p Params, rcm map[socialgraph.ResourceID][]socialgraph.CandidateDistance) []index.ScoredDoc {
-	if p.TopK <= 0 {
-		return filterReachable(f.score(need, p), rcm)
-	}
-	accept := func(d index.DocID) bool {
-		_, ok := rcm[d]
-		return ok
-	}
-	if p.ScoreWorkers != 0 {
-		if ps, ok := f.index.(index.ParallelSearcher); ok {
-			return ps.ScoreTopKWorkers(need, p.alpha(), p.ScoreWorkers, p.TopK, accept)
-		}
-	}
-	return f.index.ScoreTopK(need, p.alpha(), p.TopK, accept)
+// search produces the relevant-resource list: the Eq. (1) matches of
+// need restricted to the reachable set, weighted against st (nil: the
+// index's own statistics) and bounded to p.TopK. Reachability rides
+// into the index as the accept predicate, so the kernel never
+// accumulates an unreachable resource and a TopK bound prunes exactly
+// the list the pipeline consumes.
+func (f *Finder) search(need analysis.Analyzed, p Params, st index.CollectionStats, rcm map[socialgraph.ResourceID][]socialgraph.CandidateDistance) []index.ScoredDoc {
+	return f.index.Search(index.Query{
+		Need:  need,
+		Alpha: p.alpha(),
+		Stats: st,
+		K:     p.TopK,
+		Accept: func(d index.DocID) bool {
+			_, ok := rcm[d]
+			return ok
+		},
+	})
 }
 
 // Pipeline returns the analysis pipeline.
@@ -413,7 +388,7 @@ func (f *Finder) FindAnalyzedContext(ctx context.Context, need analysis.Analyzed
 	sp.End()
 
 	sp, t0 = tr.StartSpan("index_match"), time.Now()
-	matches := f.scoreMatches(need, p, rcm)
+	matches := f.search(need, p, nil, rcm)
 	mStageSeconds.With("index_match").ObserveSince(t0)
 	sp.SetAttr("matches", strconv.Itoa(len(matches)))
 	sp.End()
@@ -432,19 +407,7 @@ func (f *Finder) FindAnalyzedContext(ctx context.Context, need analysis.Analyzed
 // before window truncation (but after the TopK bound, when one is
 // set).
 func (f *Finder) Matches(need analysis.Analyzed, p Params) []index.ScoredDoc {
-	return f.scoreMatches(need, p, f.reachability(p.Traversal))
-}
-
-// filterReachable restricts scored resources to those present in the
-// reachability map, preserving order.
-func filterReachable(scored []index.ScoredDoc, rcm map[socialgraph.ResourceID][]socialgraph.CandidateDistance) []index.ScoredDoc {
-	matches := scored[:0:0]
-	for _, sd := range scored {
-		if _, ok := rcm[sd.Doc]; ok {
-			matches = append(matches, sd)
-		}
-	}
-	return matches
+	return f.search(need, p, nil, f.reachability(p.Traversal))
 }
 
 // RankFromMatches applies window truncation and the expert scoring

@@ -25,7 +25,6 @@ import (
 	"strconv"
 	"time"
 
-	"expertfind/internal/analysis"
 	"expertfind/internal/index"
 	"expertfind/internal/kb"
 	"expertfind/internal/socialgraph"
@@ -112,52 +111,20 @@ func (f *Finder) ShardMatches(ctx context.Context, need string, p Params, st ind
 	sp.End()
 
 	sp, t0 = tr.StartSpan("index_match"), time.Now()
-	scored := f.scoreStats(a, p, st, rcm)
-	out := make([]ShardMatch, 0, len(scored))
-	for _, sd := range scored {
-		if cands, ok := rcm[sd.Doc]; ok {
-			out = append(out, ShardMatch{Doc: sd.Doc, Score: sd.Score, Cands: cands})
-		}
+	// With TopK set the shard prunes to its local top k of the
+	// reachable set: a shard's slice of the global top k is always
+	// within its local top k, so the coordinator's merge of these
+	// prefixes, truncated to k, is byte-identical to the
+	// single-process bounded ranking.
+	scored := f.search(a, p, st, rcm)
+	out := make([]ShardMatch, len(scored))
+	for i, sd := range scored {
+		out[i] = ShardMatch{Doc: sd.Doc, Score: sd.Score, Cands: rcm[sd.Doc]}
 	}
 	mStageSeconds.With("index_match").ObserveSince(t0)
 	sp.SetAttr("matches", strconv.Itoa(len(out)))
 	sp.End()
 	return out
-}
-
-// scoreStats is score under an explicit collection view, honoring the
-// per-query worker bound when the index supports it. With TopK set
-// (and a stats-capable index), the shard prunes to its local top k of
-// the reachable set — a shard's slice of the global top k is always
-// within the shard's local top k, so the coordinator's merge of these
-// prefixes, truncated to k, is byte-identical to the single-process
-// bounded ranking.
-func (f *Finder) scoreStats(need analysis.Analyzed, p Params, st index.CollectionStats, rcm map[socialgraph.ResourceID][]socialgraph.CandidateDistance) []index.ScoredDoc {
-	alpha := p.EffectiveAlpha()
-	if k := p.TopK; k > 0 {
-		accept := func(d index.DocID) bool {
-			_, ok := rcm[d]
-			return ok
-		}
-		if p.ScoreWorkers != 0 {
-			if sh, ok := f.index.(*index.Sharded); ok {
-				return sh.ScoreStatsTopKWorkers(need, alpha, st, p.ScoreWorkers, k, accept)
-			}
-		}
-		if ss, ok := f.index.(index.StatsSearcher); ok {
-			return ss.ScoreStatsTopK(need, alpha, st, k, accept)
-		}
-		return f.index.ScoreTopK(need, alpha, k, accept)
-	}
-	if p.ScoreWorkers != 0 {
-		if sh, ok := f.index.(*index.Sharded); ok {
-			return sh.ScoreStatsWorkers(need, alpha, st, p.ScoreWorkers)
-		}
-	}
-	if ss, ok := f.index.(index.StatsSearcher); ok {
-		return ss.ScoreStats(need, alpha, st)
-	}
-	return f.index.Score(need, alpha)
 }
 
 // RankMerged is the coordinator-side Eq. (3) aggregation over the

@@ -223,14 +223,38 @@ func TestRankMergedEdgeCases(t *testing.T) {
 	}
 }
 
-// noStats hides the concrete index behind the plain Searcher
-// interface, forcing scoreStats down its local-stats fallback path.
-type noStats struct{ index.Searcher }
+// storeClone indexes f's corpus into a disk-backed segment store:
+// sealed segments of two resources each plus a memtable.
+func storeClone(t *testing.T, f *Finder) *index.Store {
+	t.Helper()
+	st, err := index.NewStore(t.TempDir(), index.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	g := f.Graph()
+	for i := 0; i < g.NumResources(); i++ {
+		r := g.Resource(socialgraph.ResourceID(i))
+		a, ok := f.Pipeline().Analyze(r.Text, r.URLs)
+		if !ok {
+			continue
+		}
+		if err := st.Add(r.ID, a); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 1 {
+			if err := st.Seal(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return st
+}
 
-// TestShardMatchesScoreFallbacks covers the three scoreStats
-// dispatches: the sharded worker-bounded path, the StatsSearcher path
-// (exercised by the differential test), and the plain-Score fallback,
-// which must agree when the "global" view is the local one.
+// TestShardMatchesScoreFallbacks checks that ShardMatches under an
+// explicit global view is the same on every index backend — the
+// monolithic Index, the Sharded index and the segment Store all answer
+// the one Search(Query) surface.
 func TestShardMatchesScoreFallbacks(t *testing.T) {
 	full, _ := buildFigure1(t)
 	const need = "who is the best at freestyle swimming?"
@@ -247,28 +271,19 @@ func TestShardMatchesScoreFallbacks(t *testing.T) {
 	}
 	want := full.ShardMatches(context.Background(), need, p, global)
 	if len(want) == 0 {
-		t.Fatal("no matches from the StatsSearcher path")
+		t.Fatal("no matches from the monolithic index")
 	}
 
-	// Worker-bounded sharded path.
 	mono, ok := full.Index().(*index.Index)
 	if !ok {
 		t.Fatalf("fixture index is %T, want *index.Index", full.Index())
 	}
 	sharded := NewFinder(full.Graph(), index.NewShardedFromIndex(mono, 3), full.Pipeline(), nil)
-	pw := p
-	pw.ScoreWorkers = 2
-	got := sharded.ShardMatches(context.Background(), need, pw, global)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("sharded worker path diverges:\n got %v\nwant %v", got, want)
+	if got := sharded.ShardMatches(context.Background(), need, p, global); !reflect.DeepEqual(got, want) {
+		t.Fatalf("sharded backend diverges:\n got %v\nwant %v", got, want)
 	}
-
-	// Fallback path: the index type exposes no ScoreStats, so the
-	// shard scores with its local view — identical here because the
-	// local view is the global one.
-	plain := NewFinder(full.Graph(), noStats{mono}, full.Pipeline(), nil)
-	got = plain.ShardMatches(context.Background(), need, p, global)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("fallback path diverges:\n got %v\nwant %v", got, want)
+	store := NewFinder(full.Graph(), storeClone(t, full), full.Pipeline(), nil)
+	if got := store.ShardMatches(context.Background(), need, p, global); !reflect.DeepEqual(got, want) {
+		t.Fatalf("store backend diverges:\n got %v\nwant %v", got, want)
 	}
 }

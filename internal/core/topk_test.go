@@ -26,9 +26,8 @@ func assertMatchesBitIdentical(t *testing.T, label string, want, got []index.Sco
 
 // TestMatchesTopKBounded checks the TopK contract at the pipeline
 // layer: Matches with TopK = k is the first k of the exhaustive
-// reachable ranking, bit for bit, through every scoreMatches dispatch
-// — the plain Searcher, the worker-bounded ParallelSearcher, and a
-// sharded index without a worker bound.
+// reachable ranking, bit for bit, on every index backend — the
+// monolithic Index, the Sharded index and the segment Store.
 func TestMatchesTopKBounded(t *testing.T) {
 	f, _ := buildFigure1(t)
 	need := f.Pipeline().AnalyzeNeed("who is the best at freestyle swimming?")
@@ -39,6 +38,7 @@ func TestMatchesTopKBounded(t *testing.T) {
 		t.Fatalf("fixture yields %d matches; need at least 2", len(exhaustive))
 	}
 	sharded := shardedClone(t, f, 3)
+	store := NewFinder(f.Graph(), storeClone(t, f), f.Pipeline(), nil)
 
 	for _, k := range []int{1, 2, len(exhaustive), len(exhaustive) + 10} {
 		want := exhaustive
@@ -49,14 +49,8 @@ func TestMatchesTopKBounded(t *testing.T) {
 		p.TopK = k
 		assertMatchesBitIdentical(t, fmt.Sprintf("k%d mono", k), want, f.Matches(need, p))
 
-		pw := p
-		pw.ScoreWorkers = 2
-		assertMatchesBitIdentical(t, fmt.Sprintf("k%d sharded workers", k), want, sharded.Matches(need, pw))
 		assertMatchesBitIdentical(t, fmt.Sprintf("k%d sharded", k), want, sharded.Matches(need, p))
-
-		pw2 := p
-		pw2.ScoreWorkers = 2
-		assertMatchesBitIdentical(t, fmt.Sprintf("k%d mono workers", k), want, f.Matches(need, pw2))
+		assertMatchesBitIdentical(t, fmt.Sprintf("k%d store", k), want, store.Matches(need, p))
 	}
 }
 
@@ -84,10 +78,10 @@ func TestFindTopKEndToEnd(t *testing.T) {
 }
 
 // TestShardMatchesTopK drives the scatter entrypoint under a TopK
-// bound through all three scoreStats dispatches: the worker-bounded
-// sharded path, the StatsSearcher path, and the plain-Searcher
-// fallback. All use the same (self-)global stats here, so every
-// dispatch must produce the exhaustive shard matches truncated to k.
+// bound on every index backend: the monolithic Index, the Sharded
+// index and the segment Store. All use the same (self-)global stats
+// here, so every backend must produce the exhaustive shard matches
+// truncated to k.
 func TestShardMatchesTopK(t *testing.T) {
 	full, _ := buildFigure1(t)
 	const need = "who is the best at freestyle swimming?"
@@ -111,7 +105,7 @@ func TestShardMatchesTopK(t *testing.T) {
 		t.Fatalf("fixture index is %T, want *index.Index", full.Index())
 	}
 	sharded := NewFinder(full.Graph(), index.NewShardedFromIndex(mono, 3), full.Pipeline(), nil)
-	plain := NewFinder(full.Graph(), noStats{mono}, full.Pipeline(), nil)
+	store := NewFinder(full.Graph(), storeClone(t, full), full.Pipeline(), nil)
 
 	for _, k := range []int{1, 2, len(exhaustive) + 5} {
 		want := exhaustive
@@ -121,15 +115,13 @@ func TestShardMatchesTopK(t *testing.T) {
 		p := base
 		p.TopK = k
 		if got := full.ShardMatches(context.Background(), need, p, global); !reflect.DeepEqual(got, want) {
-			t.Fatalf("k%d stats path:\n got %v\nwant %v", k, got, want)
+			t.Fatalf("k%d monolith:\n got %v\nwant %v", k, got, want)
 		}
-		pw := p
-		pw.ScoreWorkers = 2
-		if got := sharded.ShardMatches(context.Background(), need, pw, global); !reflect.DeepEqual(got, want) {
-			t.Fatalf("k%d sharded worker path:\n got %v\nwant %v", k, got, want)
+		if got := sharded.ShardMatches(context.Background(), need, p, global); !reflect.DeepEqual(got, want) {
+			t.Fatalf("k%d sharded:\n got %v\nwant %v", k, got, want)
 		}
-		if got := plain.ShardMatches(context.Background(), need, p, global); !reflect.DeepEqual(got, want) {
-			t.Fatalf("k%d fallback path:\n got %v\nwant %v", k, got, want)
+		if got := store.ShardMatches(context.Background(), need, p, global); !reflect.DeepEqual(got, want) {
+			t.Fatalf("k%d store:\n got %v\nwant %v", k, got, want)
 		}
 	}
 }

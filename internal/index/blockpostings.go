@@ -13,18 +13,25 @@ import (
 //     maximum doc id), with one skip entry per block recording the
 //     block's byte offset, posting count, maximum doc id and maximum
 //     weightless posting score;
-//   - a small unsorted tail of recent Add/Merge postings.
+//   - a small unsorted tail of recent Add/Merge postings, in the same
+//     per-posting byte layout but with absolute doc ids.
 //
 // Sealing happens at build time (Add/Merge), never during scoring, so
-// concurrent Score calls stay read-only. The tail is folded into the
+// concurrent searches stay read-only. The tail is folded into the
 // sealed region whenever it reaches max(blockSize, sealed/4) postings,
 // which keeps re-encoding amortized near O(n log n) over a build.
 //
+// One list type serves terms and entities; its kind picks the
+// per-posting layout and the contribution to Eq. (1):
+//
+//	term:   docDelta uvarint, tf uvarint                  → tf·w
+//	entity: docDelta uvarint, ef uvarint, dScore float64  → ef·w·we
+//
 // The skip entries are what the top-k pruner consumes: the "weightless"
-// score of a posting is its contribution to Eq. (1) with the query
-// weight divided out — tf for a term posting, ef·we for an entity
-// posting — so multiplying a block's maximum by the planned weight
-// bounds every member's contribution without decoding the block.
+// score of a posting is its contribution with the query weight divided
+// out — tf for a term posting, ef·we for an entity posting — so
+// multiplying a block's maximum by the planned weight bounds every
+// member's contribution without decoding the block.
 
 // blockSize is the number of postings per sealed block. 128 keeps a
 // block within a few cache lines when decoded while making the
@@ -39,32 +46,49 @@ type blockMeta struct {
 	maxW   float64 // maximum weightless posting score in the block
 }
 
-// termList is a blocked posting list for one term.
-type termList struct {
-	data   []byte
-	blocks []blockMeta
-	tail   []termPosting
-	count  int     // total postings, sealed + tail
-	maxW   float64 // list-wide maximum weightless score (max tf)
+// posting is one decoded posting: f is the term frequency tf or the
+// entity frequency ef; dScore is the disambiguation confidence of an
+// entity posting (always 0 for a term posting).
+type posting struct {
+	doc    DocID
+	f      int32
+	dScore float64
 }
 
-// entityList is a blocked posting list for one entity.
-type entityList struct {
+// postingList is a blocked posting list for one term or one entity.
+type postingList struct {
+	entity bool // kind: entity postings carry dScore and weigh ef·we
 	data   []byte
 	blocks []blockMeta
-	tailE  []entityPosting
-	count  int
-	maxW   float64 // list-wide maximum weightless score (max ef·we)
+	tail   []byte // unsorted recent postings, absolute doc ids
+	tailN  int    // postings in tail
+	count  int    // total postings, sealed + tail
+	maxW   float64
 }
 
-// entityWeight is the weightless Eq. (1) contribution of an entity
-// posting: ef·we with we = 1+dScore for positive disambiguation
-// confidence, 0 otherwise (Eq. 2).
-func entityWeight(p entityPosting) float64 {
+// weight is the weightless Eq. (1) contribution of a posting of this
+// list's kind: tf for a term, ef·we for an entity, with we = 1+dScore
+// for positive disambiguation confidence and 0 otherwise (Eq. 2).
+func (l *postingList) weight(p posting) float64 {
+	if !l.entity {
+		return float64(p.f)
+	}
 	if p.dScore > 0 {
-		return float64(p.ef) * (1 + p.dScore)
+		return float64(p.f) * (1 + p.dScore)
 	}
 	return 0
+}
+
+// appendPosting appends p in this list's per-posting layout, with doc
+// written as docVal (a delta in the sealed region, absolute in the
+// tail).
+func (l *postingList) appendPosting(b []byte, p posting, docVal DocID) []byte {
+	b = binary.AppendUvarint(b, uint64(docVal))
+	b = binary.AppendUvarint(b, uint64(p.f))
+	if l.entity {
+		b = appendFloat64(b, p.dScore)
+	}
+	return b
 }
 
 // sealDue reports whether a tail of t postings over a list of count
@@ -74,51 +98,23 @@ func sealDue(t, count int) bool {
 	return t >= blockSize && t*4 >= sealed
 }
 
-func (l *termList) add(p termPosting) {
-	l.tail = append(l.tail, p)
+func (l *postingList) add(p posting) {
+	l.tail = l.appendPosting(l.tail, p, p.doc)
+	l.tailN++
 	l.count++
-	if w := float64(p.tf); w > l.maxW {
+	if w := l.weight(p); w > l.maxW {
 		l.maxW = w
 	}
-	if sealDue(len(l.tail), l.count) {
-		l.seal()
+	if sealDue(l.tailN, l.count) {
+		l.encode(sortPostings(l.decodeAll()))
 	}
-}
-
-func (l *entityList) add(p entityPosting) {
-	l.tailE = append(l.tailE, p)
-	l.count++
-	if w := entityWeight(p); w > l.maxW {
-		l.maxW = w
-	}
-	if sealDue(len(l.tailE), l.count) {
-		l.seal()
-	}
-}
-
-// seal folds the tail into the sealed region: decode, merge, sort by
-// doc id, re-encode into fixed-size blocks.
-func (l *termList) seal() {
-	all := l.decodeAll()
-	l.encode(sortTermPostings(all))
-}
-
-func (l *entityList) seal() {
-	all := l.decodeAll()
-	l.encode(sortEntityPostings(all))
 }
 
 // decodeAll returns every posting, sealed region first (in doc order)
 // then the tail (in insertion order).
-func (l *termList) decodeAll() []termPosting {
-	out := make([]termPosting, 0, l.count)
-	l.forEach(func(p termPosting) { out = append(out, p) })
-	return out
-}
-
-func (l *entityList) decodeAll() []entityPosting {
-	out := make([]entityPosting, 0, l.count)
-	l.forEach(func(p entityPosting) { out = append(out, p) })
+func (l *postingList) decodeAll() []posting {
+	out := make([]posting, 0, l.count)
+	l.forEach(func(p posting) { out = append(out, p) })
 	return out
 }
 
@@ -126,185 +122,95 @@ func (l *entityList) decodeAll() []entityPosting {
 // doc id and clears the tail. The layout is canonical: block boundaries
 // fall every blockSize postings regardless of the insertion history, so
 // two lists holding the same postings encode byte-identically.
-func (l *termList) encode(ps []termPosting) {
+func (l *postingList) encode(ps []posting) {
 	l.data = l.data[:0]
 	l.blocks = l.blocks[:0]
 	prev := DocID(0)
 	for start := 0; start < len(ps); start += blockSize {
-		end := start + blockSize
-		if end > len(ps) {
-			end = len(ps)
-		}
+		end := min(start+blockSize, len(ps))
 		bm := blockMeta{off: len(l.data), n: end - start}
 		for _, p := range ps[start:end] {
-			l.data = binary.AppendUvarint(l.data, uint64(p.doc-prev))
-			l.data = binary.AppendUvarint(l.data, uint64(p.tf))
+			l.data = l.appendPosting(l.data, p, p.doc-prev)
 			prev = p.doc
-			if w := float64(p.tf); w > bm.maxW {
-				bm.maxW = w
-			}
+			bm.maxW = max(bm.maxW, l.weight(p))
 		}
 		bm.maxDoc = prev
 		l.blocks = append(l.blocks, bm)
 	}
-	l.tail = nil
-	l.count = len(ps)
-}
-
-func (l *entityList) encode(ps []entityPosting) {
-	l.data = l.data[:0]
-	l.blocks = l.blocks[:0]
-	prev := DocID(0)
-	for start := 0; start < len(ps); start += blockSize {
-		end := start + blockSize
-		if end > len(ps) {
-			end = len(ps)
-		}
-		bm := blockMeta{off: len(l.data), n: end - start}
-		for _, p := range ps[start:end] {
-			l.data = binary.AppendUvarint(l.data, uint64(p.doc-prev))
-			l.data = binary.AppendUvarint(l.data, uint64(p.ef))
-			l.data = appendFloat64(l.data, p.dScore)
-			prev = p.doc
-			if w := entityWeight(p); w > bm.maxW {
-				bm.maxW = w
-			}
-		}
-		bm.maxDoc = prev
-		l.blocks = append(l.blocks, bm)
-	}
-	l.tailE = nil
+	l.tail, l.tailN = nil, 0
 	l.count = len(ps)
 }
 
 // blockEnd returns the byte offset one past block i.
-func (l *termList) blockEnd(i int) int {
+func (l *postingList) blockEnd(i int) int {
 	if i+1 < len(l.blocks) {
 		return l.blocks[i+1].off
 	}
 	return len(l.data)
-}
-
-func (l *entityList) blockEnd(i int) int {
-	if i+1 < len(l.blocks) {
-		return l.blocks[i+1].off
-	}
-	return len(l.data)
-}
-
-// decodeBlock appends block i's postings to dst. base is the delta
-// base (the previous block's maxDoc, 0 for the first block).
-func (l *termList) decodeBlock(i int, base DocID, dst []termPosting) []termPosting {
-	bm := l.blocks[i]
-	pos, prev := bm.off, base
-	for j := 0; j < bm.n; j++ {
-		delta, n := binary.Uvarint(l.data[pos:])
-		pos += n
-		tf, n := binary.Uvarint(l.data[pos:])
-		pos += n
-		prev += DocID(delta)
-		dst = append(dst, termPosting{doc: prev, tf: int32(tf)})
-	}
-	return dst
-}
-
-func (l *entityList) decodeBlock(i int, base DocID, dst []entityPosting) []entityPosting {
-	bm := l.blocks[i]
-	pos, prev := bm.off, base
-	for j := 0; j < bm.n; j++ {
-		delta, n := binary.Uvarint(l.data[pos:])
-		pos += n
-		ef, n := binary.Uvarint(l.data[pos:])
-		pos += n
-		dScore := float64FromBytes(l.data[pos:])
-		pos += 8
-		prev += DocID(delta)
-		dst = append(dst, entityPosting{doc: prev, ef: int32(ef), dScore: dScore})
-	}
-	return dst
 }
 
 // forEach visits every posting: sealed blocks in doc order, then the
 // tail in insertion order. A document appears at most once per list, so
 // per-document accumulation order is unaffected by the region split.
-func (l *termList) forEach(fn func(termPosting)) {
-	pos, prev := 0, DocID(0)
-	for _, bm := range l.blocks {
-		for j := 0; j < bm.n; j++ {
-			delta, n := binary.Uvarint(l.data[pos:])
-			pos += n
-			tf, n := binary.Uvarint(l.data[pos:])
-			pos += n
-			prev += DocID(delta)
-			fn(termPosting{doc: prev, tf: int32(tf)})
+func (l *postingList) forEach(fn func(posting)) {
+	decode := func(data []byte, n int, delta bool) {
+		pos, prev := 0, DocID(0)
+		for j := 0; j < n; j++ {
+			d, sz := binary.Uvarint(data[pos:])
+			pos += sz
+			f, sz := binary.Uvarint(data[pos:])
+			pos += sz
+			if delta {
+				prev += DocID(d)
+			} else {
+				prev = DocID(d)
+			}
+			p := posting{doc: prev, f: int32(f)}
+			if l.entity {
+				p.dScore = float64FromBytes(data[pos:])
+				pos += 8
+			}
+			fn(p)
 		}
 	}
-	for _, p := range l.tail {
-		fn(p)
-	}
-}
-
-func (l *entityList) forEach(fn func(entityPosting)) {
-	pos, prev := 0, DocID(0)
-	for _, bm := range l.blocks {
-		for j := 0; j < bm.n; j++ {
-			delta, n := binary.Uvarint(l.data[pos:])
-			pos += n
-			ef, n := binary.Uvarint(l.data[pos:])
-			pos += n
-			dScore := float64FromBytes(l.data[pos:])
-			pos += 8
-			prev += DocID(delta)
-			fn(entityPosting{doc: prev, ef: int32(ef), dScore: dScore})
-		}
-	}
-	for _, p := range l.tailE {
-		fn(p)
-	}
+	decode(l.data, l.count-l.tailN, true)
+	decode(l.tail, l.tailN, false)
 }
 
 // sorted returns every posting in ascending doc order — the canonical
 // form the codec serializes.
-func (l *termList) sorted() []termPosting {
-	return sortTermPostings(l.decodeAll())
-}
-
-func (l *entityList) sorted() []entityPosting {
-	return sortEntityPostings(l.decodeAll())
-}
-
-// newTermList builds a list from postings in arbitrary order, fully
-// sealed into canonical blocks.
-func newTermList(ps []termPosting) *termList {
-	l := &termList{}
-	for _, p := range ps {
-		if w := float64(p.tf); w > l.maxW {
-			l.maxW = w
-		}
+func (l *postingList) sorted() []posting {
+	if l.tailN == 0 {
+		return l.decodeAll()
 	}
-	l.encode(sortTermPostings(append([]termPosting(nil), ps...)))
+	return sortPostings(l.decodeAll())
+}
+
+// canonical returns the list in canonical sealed form (no tail,
+// blocks re-encoded from fully sorted postings) — the form the codec
+// serializes. Lists with an empty tail are already canonical.
+func (l *postingList) canonical() *postingList {
+	if l.tailN == 0 {
+		return l
+	}
+	c := &postingList{entity: l.entity, maxW: l.maxW}
+	c.encode(l.sorted())
+	return c
+}
+
+// newPostingList builds a list of the given kind from postings in
+// arbitrary order, fully sealed into canonical blocks.
+func newPostingList(entity bool, ps []posting) *postingList {
+	l := &postingList{entity: entity}
+	for _, p := range ps {
+		l.maxW = max(l.maxW, l.weight(p))
+	}
+	l.encode(sortPostings(append([]posting(nil), ps...)))
 	return l
 }
 
-func newEntityList(ps []entityPosting) *entityList {
-	l := &entityList{}
-	for _, p := range ps {
-		if w := entityWeight(p); w > l.maxW {
-			l.maxW = w
-		}
-	}
-	l.encode(sortEntityPostings(append([]entityPosting(nil), ps...)))
-	return l
-}
-
-// sortTermPostings sorts postings by ascending doc id, in place.
-func sortTermPostings(ps []termPosting) []termPosting {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].doc < ps[j].doc })
-	return ps
-}
-
-// sortEntityPostings sorts postings by ascending doc id, in place.
-func sortEntityPostings(ps []entityPosting) []entityPosting {
+// sortPostings sorts postings by ascending doc id, in place.
+func sortPostings(ps []posting) []posting {
 	sort.Slice(ps, func(i, j int) bool { return ps[i].doc < ps[j].doc })
 	return ps
 }

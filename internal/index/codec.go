@@ -42,35 +42,16 @@ import (
 // Blocks are canonical — every block holds exactly blockSize postings
 // except the last — and the writer re-blocks from fully sorted
 // postings, so two indexes over the same documents serialize
-// byte-identically regardless of build order or shard layout. The
-// reader still accepts version 1 (flat delta-encoded postings, no
-// skip entries) and rebuilds the blocks itself.
+// byte-identically regardless of build order or shard layout. Term
+// and entity lists share one body layout and differ only in the block
+// bound's encoding and the per-posting dScore (see blockpostings.go).
+// Version 2 is the only version the reader accepts; nothing writes
+// any other.
 
 const (
 	codecMagic   = "EFIX"
 	codecVersion = 2
 )
-
-// canonical returns the list in canonical sealed form (no tail,
-// blocks re-encoded from fully sorted postings) — the form WriteTo
-// serializes. Lists with an empty tail are already canonical.
-func (l *termList) canonical() *termList {
-	if len(l.tail) == 0 {
-		return l
-	}
-	c := &termList{maxW: l.maxW}
-	c.encode(l.sorted())
-	return c
-}
-
-func (l *entityList) canonical() *entityList {
-	if len(l.tailE) == 0 {
-		return l
-	}
-	c := &entityList{maxW: l.maxW}
-	c.encode(l.sorted())
-	return c
-}
 
 // WriteTo serializes the index. It implements io.WriterTo.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
@@ -110,7 +91,7 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 		if _, err := cw.Write([]byte(t)); err != nil {
 			return cw.n, err
 		}
-		if err := writeTermListBody(cw, ix.terms[t].canonical()); err != nil {
+		if err := writeListBody(cw, ix.terms[t].canonical()); err != nil {
 			return cw.n, err
 		}
 	}
@@ -124,7 +105,7 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	writeUvarint(cw, uint64(len(ents)))
 	for _, e := range ents {
 		writeUvarint(cw, uint64(e))
-		if err := writeEntityListBody(cw, ix.entities[kb.EntityID(e)].canonical()); err != nil {
+		if err := writeListBody(cw, ix.entities[kb.EntityID(e)].canonical()); err != nil {
 			return cw.n, err
 		}
 	}
@@ -136,8 +117,6 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 }
 
 // ReadIndex deserializes an index previously written with WriteTo.
-// Both the current blocked format (version 2) and the original flat
-// format (version 1) are accepted.
 func ReadIndex(r io.Reader) (*Index, error) {
 	br := bufio.NewReader(r)
 
@@ -152,7 +131,7 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("index: reading version: %w", err)
 	}
-	if version != 1 && version != 2 {
+	if version != codecVersion {
 		return nil, fmt.Errorf("index: unsupported version %d", version)
 	}
 
@@ -179,17 +158,9 @@ func ReadIndex(r io.Reader) (*Index, error) {
 		prev = d
 	}
 
-	if version == 1 {
-		return readV1Lists(br, ix, nDocs)
-	}
-	return readV2Lists(br, ix, nDocs)
-}
-
-// readV2Lists decodes the blocked term and entity sections. Skip
-// metadata is load-bearing for pruning correctness, so every declared
-// block bound is recomputed from the decoded postings and must match
-// exactly.
-func readV2Lists(br *bufio.Reader, ix *Index, nDocs uint64) (*Index, error) {
+	// Skip metadata is load-bearing for pruning correctness, so every
+	// declared block bound is recomputed from the decoded postings and
+	// must match exactly.
 	nTerms, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("index: reading term count: %w", err)
@@ -209,7 +180,7 @@ func readV2Lists(br *bufio.Reader, ix *Index, nDocs uint64) (*Index, error) {
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return nil, fmt.Errorf("index: reading term %d: %w", i, err)
 		}
-		l, err := readTermBlocks(br, ix, nDocs, string(buf))
+		l, err := readList(br, ix, nDocs, false, fmt.Sprintf("term %q", buf))
 		if err != nil {
 			return nil, err
 		}
@@ -228,7 +199,7 @@ func readV2Lists(br *bufio.Reader, ix *Index, nDocs uint64) (*Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("index: reading entity %d id: %w", i, err)
 		}
-		l, err := readEntityBlocks(br, ix, nDocs, eid)
+		l, err := readList(br, ix, nDocs, true, fmt.Sprintf("entity %d", eid))
 		if err != nil {
 			return nil, err
 		}
@@ -237,7 +208,7 @@ func readV2Lists(br *bufio.Reader, ix *Index, nDocs uint64) (*Index, error) {
 	return ix, nil
 }
 
-// byteScanner is the reader the v2 block decoders consume: buffered
+// byteScanner is the reader the block decoders consume: buffered
 // byte and bulk reads. *bufio.Reader satisfies it; the segment opener
 // wraps one to track the logical byte offset of each posting list.
 type byteScanner interface {
@@ -245,7 +216,7 @@ type byteScanner interface {
 	io.ByteReader
 }
 
-// readListHeader reads and sanity-checks a v2 list's count and block
+// readListHeader reads and sanity-checks a list's count and block
 // count against the canonical blocking invariant.
 func readListHeader(br byteScanner, nDocs uint64, what string) (count, nBlocks int, err error) {
 	c, err := binary.ReadUvarint(br)
@@ -266,22 +237,37 @@ func readListHeader(br byteScanner, nDocs uint64, what string) (count, nBlocks i
 	return int(c), int(nb), nil
 }
 
-func readTermBlocks(br byteScanner, ix *Index, nDocs uint64, term string) (*termList, error) {
-	what := fmt.Sprintf("term %q", term)
+// freqName names a posting's frequency field by list kind.
+var freqName = map[bool]string{false: "tf", true: "ef"}
+
+// readList decodes and verifies one list body of the given kind. what
+// names the list in errors.
+func readList(br byteScanner, ix *Index, nDocs uint64, entity bool, what string) (*postingList, error) {
 	count, nBlocks, err := readListHeader(br, nDocs, what)
 	if err != nil {
 		return nil, err
 	}
-	l := &termList{count: count}
+	l := &postingList{entity: entity, count: count}
 	remaining := count
 	prevDoc := int64(-1)
 	base := DocID(0)
+	var f8 [8]byte
 	for b := 0; b < nBlocks; b++ {
 		n, maxDocDelta, err := readBlockMeta(br, what, b)
 		if err != nil {
 			return nil, err
 		}
-		declMaxW, err := binary.ReadUvarint(br)
+		// The block bound: a uvarint max tf for terms, the float64 max
+		// ef·we for entities.
+		var declMaxW float64
+		if entity {
+			_, err = io.ReadFull(br, f8[:])
+			declMaxW = float64FromBytes(f8[:])
+		} else {
+			var tf uint64
+			tf, err = binary.ReadUvarint(br)
+			declMaxW = float64(tf)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("index: reading block %d bound of %s: %w", b, what, err)
 		}
@@ -307,96 +293,21 @@ func readTermBlocks(br byteScanner, ix *Index, nDocs uint64, term string) (*term
 				return nil, fmt.Errorf("index: posting %d of block %d of %s: bad doc delta", j, b, what)
 			}
 			pos += sz
-			tf, sz := binary.Uvarint(data[pos:])
+			f, sz := binary.Uvarint(data[pos:])
 			if sz <= 0 {
-				return nil, fmt.Errorf("index: posting %d of block %d of %s: bad tf", j, b, what)
+				return nil, fmt.Errorf("index: posting %d of block %d of %s: bad %s", j, b, what, freqName[entity])
 			}
 			pos += sz
-			cur += DocID(delta)
-			if int64(cur) <= prevDoc {
-				return nil, fmt.Errorf("index: %s doc ids not strictly ascending at block %d posting %d", what, b, j)
-			}
-			prevDoc = int64(cur)
-			if _, ok := ix.docs[cur]; !ok {
-				return nil, fmt.Errorf("index: %s references unknown doc %d", what, cur)
-			}
-			if w := float64(tf); w > bm.maxW {
-				bm.maxW = w
-			}
-		}
-		if pos != len(data) {
-			return nil, fmt.Errorf("index: block %d of %s has %d trailing bytes", b, what, len(data)-pos)
-		}
-		bm.maxDoc = cur
-		if bm.maxDoc != base+DocID(maxDocDelta) {
-			return nil, fmt.Errorf("index: block %d of %s declares max doc %d, postings end at %d", b, what, base+DocID(maxDocDelta), bm.maxDoc)
-		}
-		if bm.maxW != float64(declMaxW) {
-			return nil, fmt.Errorf("index: block %d of %s declares bound %d, postings max %g", b, what, declMaxW, bm.maxW)
-		}
-		if bm.maxW > l.maxW {
-			l.maxW = bm.maxW
-		}
-		l.data = append(l.data, data...)
-		l.blocks = append(l.blocks, bm)
-		base = bm.maxDoc
-	}
-	return l, nil
-}
-
-func readEntityBlocks(br byteScanner, ix *Index, nDocs uint64, eid uint64) (*entityList, error) {
-	what := fmt.Sprintf("entity %d", eid)
-	count, nBlocks, err := readListHeader(br, nDocs, what)
-	if err != nil {
-		return nil, err
-	}
-	l := &entityList{count: count}
-	remaining := count
-	prevDoc := int64(-1)
-	base := DocID(0)
-	var f8 [8]byte
-	for b := 0; b < nBlocks; b++ {
-		n, maxDocDelta, err := readBlockMeta(br, what, b)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := io.ReadFull(br, f8[:]); err != nil {
-			return nil, fmt.Errorf("index: reading block %d bound of %s: %w", b, what, err)
-		}
-		declMaxW := math.Float64frombits(binary.LittleEndian.Uint64(f8[:]))
-		data, err := readBlockData(br, what, b)
-		if err != nil {
-			return nil, err
-		}
-		wantN := blockSize
-		if b == nBlocks-1 {
-			wantN = remaining
-		}
-		if n != wantN {
-			return nil, fmt.Errorf("index: block %d of %s holds %d postings, want %d", b, what, n, wantN)
-		}
-		remaining -= n
-
-		bm := blockMeta{off: len(l.data), n: n}
-		pos, cur := 0, base
-		for j := 0; j < n; j++ {
-			delta, sz := binary.Uvarint(data[pos:])
-			if sz <= 0 {
-				return nil, fmt.Errorf("index: posting %d of block %d of %s: bad doc delta", j, b, what)
-			}
-			pos += sz
-			ef, sz := binary.Uvarint(data[pos:])
-			if sz <= 0 {
-				return nil, fmt.Errorf("index: posting %d of block %d of %s: bad ef", j, b, what)
-			}
-			pos += sz
-			if pos+8 > len(data) {
-				return nil, fmt.Errorf("index: posting %d of block %d of %s: truncated dScore", j, b, what)
-			}
-			dScore := float64FromBytes(data[pos:])
-			pos += 8
-			if math.IsNaN(dScore) || dScore < 0 || dScore > 1 {
-				return nil, fmt.Errorf("index: %s posting %d has dScore %v outside [0,1]", what, j, dScore)
+			p := posting{f: int32(f)}
+			if entity {
+				if pos+8 > len(data) {
+					return nil, fmt.Errorf("index: posting %d of block %d of %s: truncated dScore", j, b, what)
+				}
+				p.dScore = float64FromBytes(data[pos:])
+				pos += 8
+				if math.IsNaN(p.dScore) || p.dScore < 0 || p.dScore > 1 {
+					return nil, fmt.Errorf("index: %s posting %d has dScore %v outside [0,1]", what, j, p.dScore)
+				}
 			}
 			cur += DocID(delta)
 			if int64(cur) <= prevDoc {
@@ -406,9 +317,7 @@ func readEntityBlocks(br byteScanner, ix *Index, nDocs uint64, eid uint64) (*ent
 			if _, ok := ix.docs[cur]; !ok {
 				return nil, fmt.Errorf("index: %s references unknown doc %d", what, cur)
 			}
-			if w := entityWeight(entityPosting{doc: cur, ef: int32(ef), dScore: dScore}); w > bm.maxW {
-				bm.maxW = w
-			}
+			bm.maxW = max(bm.maxW, l.weight(p))
 		}
 		if pos != len(data) {
 			return nil, fmt.Errorf("index: block %d of %s has %d trailing bytes", b, what, len(data)-pos)
@@ -420,9 +329,7 @@ func readEntityBlocks(br byteScanner, ix *Index, nDocs uint64, eid uint64) (*ent
 		if bm.maxW != declMaxW {
 			return nil, fmt.Errorf("index: block %d of %s declares bound %g, postings max %g", b, what, declMaxW, bm.maxW)
 		}
-		if bm.maxW > l.maxW {
-			l.maxW = bm.maxW
-		}
+		l.maxW = max(l.maxW, bm.maxW)
 		l.data = append(l.data, data...)
 		l.blocks = append(l.blocks, bm)
 		base = bm.maxDoc
@@ -466,112 +373,6 @@ func readBlockData(br byteScanner, what string, b int) ([]byte, error) {
 		return nil, fmt.Errorf("index: reading block %d of %s: %w", b, what, err)
 	}
 	return data, nil
-}
-
-// readV1Lists decodes the original flat posting sections and rebuilds
-// the blocked in-memory layout.
-func readV1Lists(br *bufio.Reader, ix *Index, nDocs uint64) (*Index, error) {
-	nTerms, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("index: reading term count: %w", err)
-	}
-	if nTerms > 1<<31 {
-		return nil, fmt.Errorf("index: implausible term count %d", nTerms)
-	}
-	for i := uint64(0); i < nTerms; i++ {
-		tlen, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("index: reading term %d length: %w", i, err)
-		}
-		if tlen > 1<<16 {
-			return nil, fmt.Errorf("index: implausible term length %d", tlen)
-		}
-		buf := make([]byte, tlen)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("index: reading term %d: %w", i, err)
-		}
-		nPost, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("index: reading postings of %q: %w", buf, err)
-		}
-		if nPost > nDocs {
-			return nil, fmt.Errorf("index: term %q has %d postings for %d docs", buf, nPost, nDocs)
-		}
-		postings := make([]termPosting, nPost)
-		prevDoc := int64(0)
-		for j := range postings {
-			delta, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("index: posting %d of %q: %w", j, buf, err)
-			}
-			d := int64(delta)
-			if j > 0 {
-				d = prevDoc + int64(delta)
-			}
-			tf, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("index: tf of posting %d of %q: %w", j, buf, err)
-			}
-			if _, ok := ix.docs[DocID(d)]; !ok {
-				return nil, fmt.Errorf("index: term %q references unknown doc %d", buf, d)
-			}
-			postings[j] = termPosting{doc: DocID(d), tf: int32(tf)}
-			prevDoc = d
-		}
-		ix.terms[string(buf)] = newTermList(postings)
-	}
-
-	nEnts, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("index: reading entity count: %w", err)
-	}
-	if nEnts > 1<<31 {
-		return nil, fmt.Errorf("index: implausible entity count %d", nEnts)
-	}
-	var f8 [8]byte
-	for i := uint64(0); i < nEnts; i++ {
-		eid, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("index: reading entity %d id: %w", i, err)
-		}
-		nPost, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("index: reading postings of entity %d: %w", eid, err)
-		}
-		if nPost > nDocs {
-			return nil, fmt.Errorf("index: entity %d has %d postings for %d docs", eid, nPost, nDocs)
-		}
-		postings := make([]entityPosting, nPost)
-		prevDoc := int64(0)
-		for j := range postings {
-			delta, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("index: posting %d of entity %d: %w", j, eid, err)
-			}
-			d := int64(delta)
-			if j > 0 {
-				d = prevDoc + int64(delta)
-			}
-			ef, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("index: ef of posting %d of entity %d: %w", j, eid, err)
-			}
-			if _, err := io.ReadFull(br, f8[:]); err != nil {
-				return nil, fmt.Errorf("index: dScore of posting %d of entity %d: %w", j, eid, err)
-			}
-			dScore := math.Float64frombits(binary.LittleEndian.Uint64(f8[:]))
-			if math.IsNaN(dScore) || dScore < 0 || dScore > 1 {
-				return nil, fmt.Errorf("index: entity %d posting %d has dScore %v outside [0,1]", eid, j, dScore)
-			}
-			if _, ok := ix.docs[DocID(d)]; !ok {
-				return nil, fmt.Errorf("index: entity %d references unknown doc %d", eid, d)
-			}
-			postings[j] = entityPosting{doc: DocID(d), ef: int32(ef), dScore: dScore}
-			prevDoc = d
-		}
-		ix.entities[kb.EntityID(eid)] = newEntityList(postings)
-	}
-	return ix, nil
 }
 
 // countWriter tracks bytes written and the first error.

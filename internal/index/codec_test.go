@@ -2,8 +2,11 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -40,44 +43,28 @@ func assertIndexesEqual(t *testing.T, a, b *Index) {
 	if a.NumDocs() != b.NumDocs() {
 		t.Fatalf("doc counts: %d vs %d", a.NumDocs(), b.NumDocs())
 	}
-	if len(a.terms) != len(b.terms) {
-		t.Fatalf("term counts: %d vs %d", len(a.terms), len(b.terms))
+	assertListsEqual(t, "term", a.terms, b.terms)
+	assertListsEqual(t, "entity", a.entities, b.entities)
+}
+
+func assertListsEqual[K comparable](t *testing.T, kind string, a, b map[K]*postingList) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s counts: %d vs %d", kind, len(a), len(b))
 	}
-	for term, la := range a.terms {
-		lb := b.terms[term]
-		if lb == nil || la.count != lb.count {
-			t.Fatalf("term %q postings: %d vs %v", term, la.count, lb)
+	for key, la := range a {
+		lb := b[key]
+		if lb == nil || la.count != lb.count || la.entity != lb.entity {
+			t.Fatalf("%s %v postings: %d vs %v", kind, key, la.count, lb)
 		}
 		sa, sb := la.sorted(), lb.sorted()
 		for i := range sa {
 			if sa[i] != sb[i] {
-				t.Fatalf("term %q posting %d: %+v vs %+v", term, i, sa[i], sb[i])
+				t.Fatalf("%s %v posting %d: %+v vs %+v", kind, key, i, sa[i], sb[i])
 			}
 		}
 		if la.maxW != lb.maxW {
-			t.Fatalf("term %q maxW: %g vs %g", term, la.maxW, lb.maxW)
-		}
-	}
-	if len(a.entities) != len(b.entities) {
-		t.Fatalf("entity counts: %d vs %d", len(a.entities), len(b.entities))
-	}
-	for e, la := range a.entities {
-		lb := b.entities[e]
-		if lb == nil {
-			t.Fatalf("entity %d missing", e)
-		}
-		sa, sb := la.sorted(), lb.sorted()
-		if len(sa) != len(sb) {
-			t.Fatalf("entity %d postings: %d vs %d", e, len(sa), len(sb))
-		}
-		for i := range sa {
-			if sa[i].doc != sb[i].doc || sa[i].ef != sb[i].ef ||
-				math.Abs(sa[i].dScore-sb[i].dScore) > 0 {
-				t.Fatalf("entity %d posting %d: %+v vs %+v", e, i, sa[i], sb[i])
-			}
-		}
-		if la.maxW != lb.maxW {
-			t.Fatalf("entity %d maxW: %g vs %g", e, la.maxW, lb.maxW)
+			t.Fatalf("%s %v maxW: %g vs %g", kind, key, la.maxW, lb.maxW)
 		}
 	}
 }
@@ -249,6 +236,164 @@ func BenchmarkCodecRead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ReadIndex(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// rawWriter hand-encodes codec bytes field by field, so tests can
+// build segments the writer would never emit.
+type rawWriter struct{ buf bytes.Buffer }
+
+func (w *rawWriter) uvarint(v uint64) {
+	var b [binary.MaxVarintLen64]byte
+	w.buf.Write(b[:binary.PutUvarint(b[:], v)])
+}
+
+func (w *rawWriter) f64(v float64) {
+	w.buf.Write(appendFloat64(nil, v))
+}
+
+// v2Segment hand-encodes a minimal version-2 segment so individual
+// fields can be corrupted precisely. The base layout is two docs
+// {5, 9}, one term "a" with postings (5, tf 2), (9, tf 1), and one
+// entity 3 with posting (5, ef 1, dScore 0.5); mutate tweaks one field
+// before encoding.
+type v2Segment struct {
+	nBlocksTerm   uint64 // block count declared for the term list
+	termCount     uint64 // postings count declared for the term list
+	blockN        uint64 // posting count declared for the term block
+	maxDocDelta   uint64 // declared block max doc (delta from base 0)
+	declMaxTF     uint64 // declared term block bound
+	byteLen       *int   // override the term block's byte length
+	firstDocDelta uint64 // first term posting's doc delta
+	secondDelta   uint64 // second term posting's doc delta (0 = regression)
+	entMaxW       float64
+	entDScore     float64
+	trailingByte  bool // append a stray byte inside the term block
+}
+
+func defaultV2() v2Segment {
+	return v2Segment{
+		nBlocksTerm: 1, termCount: 2, blockN: 2, maxDocDelta: 9, declMaxTF: 2,
+		firstDocDelta: 5, secondDelta: 4, entMaxW: 1.5, entDScore: 0.5,
+	}
+}
+
+func (s v2Segment) encode() []byte {
+	w := &rawWriter{}
+	w.buf.WriteString(codecMagic)
+	w.uvarint(2)
+	w.uvarint(2) // two docs: 5, 9
+	w.uvarint(5)
+	w.uvarint(4)
+
+	w.uvarint(1) // one term
+	w.uvarint(1)
+	w.buf.WriteString("a")
+	w.uvarint(s.termCount)
+	w.uvarint(s.nBlocksTerm)
+	w.uvarint(s.blockN)
+	w.uvarint(s.maxDocDelta)
+	w.uvarint(s.declMaxTF)
+	var block rawWriter
+	block.uvarint(s.firstDocDelta)
+	block.uvarint(2) // tf
+	block.uvarint(s.secondDelta)
+	block.uvarint(1) // tf
+	if s.trailingByte {
+		block.buf.WriteByte(0)
+	}
+	bl := block.buf.Len()
+	if s.byteLen != nil {
+		bl = *s.byteLen
+	}
+	w.uvarint(uint64(bl))
+	w.buf.Write(block.buf.Bytes())
+
+	w.uvarint(1) // one entity
+	w.uvarint(3)
+	w.uvarint(1) // count
+	w.uvarint(1) // blocks
+	w.uvarint(1) // block n
+	w.uvarint(5) // maxDocDelta
+	w.f64(s.entMaxW)
+	var eb rawWriter
+	eb.uvarint(5) // doc delta
+	eb.uvarint(1) // ef
+	eb.f64(s.entDScore)
+	w.uvarint(uint64(eb.buf.Len()))
+	w.buf.Write(eb.buf.Bytes())
+	return w.buf.Bytes()
+}
+
+// TestCodecV2RejectsBrokenSkipMetadata corrupts each load-bearing
+// field of a valid v2 segment in turn; the reader must reject every
+// variant — skip entries feed pruning proofs, so a segment whose
+// declared bounds disagree with its postings must never load.
+func TestCodecV2RejectsBrokenSkipMetadata(t *testing.T) {
+	if _, err := ReadIndex(bytes.NewReader(defaultV2().encode())); err != nil {
+		t.Fatalf("baseline v2 segment must load: %v", err)
+	}
+	three := 3
+	huge := blockSize * 33
+	cases := []struct {
+		name    string
+		mutate  func(*v2Segment)
+		wantErr string
+	}{
+		{"wrong block count", func(s *v2Segment) { s.nBlocksTerm = 2 }, "blocks for"},
+		{"count above docs", func(s *v2Segment) { s.termCount = 3 }, "postings for"},
+		{"oversized block", func(s *v2Segment) { s.blockN = blockSize + 1 }, "oversized"},
+		{"short block", func(s *v2Segment) { s.blockN = 1 }, "want"},
+		{"wrong max doc", func(s *v2Segment) { s.maxDocDelta = 8 }, "declares max doc"},
+		{"implausible max doc", func(s *v2Segment) { s.maxDocDelta = 1 << 33 }, "implausible max doc"},
+		{"wrong bound", func(s *v2Segment) { s.declMaxTF = 1 }, "declares bound"},
+		{"trailing bytes", func(s *v2Segment) { s.trailingByte = true }, "trailing"},
+		{"byte length lies", func(s *v2Segment) { s.byteLen = &three }, "bad tf"},
+		{"implausible byte length", func(s *v2Segment) { s.byteLen = &huge }, "implausible byte length"},
+		{"doc regression", func(s *v2Segment) { s.secondDelta = 0 }, "strictly ascending"},
+		{"unknown doc", func(s *v2Segment) { s.firstDocDelta = 6 }, "unknown doc"},
+		{"wrong entity bound", func(s *v2Segment) { s.entMaxW = 2 }, "declares bound"},
+		{"entity dScore range", func(s *v2Segment) { s.entDScore = 1.5; s.entMaxW = 2.5 }, "outside [0,1]"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := defaultV2()
+			tc.mutate(&s)
+			_, err := ReadIndex(bytes.NewReader(s.encode()))
+			if err == nil {
+				t.Fatalf("corrupted segment (%s) accepted", tc.name)
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestCodecRejectsUnsupportedVersion covers the version gate: only
+// version 2 is readable, both as a whole index (ReadIndex) and as a
+// sealed segment (OpenSegment). Version 1 — the flat format no
+// release of this reader writes — is rejected like any other.
+func TestCodecRejectsUnsupportedVersion(t *testing.T) {
+	for _, version := range []uint64{1, 3} {
+		w := &rawWriter{}
+		w.buf.WriteString(codecMagic)
+		w.uvarint(version)
+		w.uvarint(0)
+		w.uvarint(0)
+		w.uvarint(0)
+		if _, err := ReadIndex(bytes.NewReader(w.buf.Bytes())); err == nil ||
+			!strings.Contains(err.Error(), "unsupported version") {
+			t.Fatalf("version %d index not rejected: %v", version, err)
+		}
+		path := filepath.Join(t.TempDir(), "seg-000000.seg")
+		if err := os.WriteFile(path, w.buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenSegment(path, false); err == nil ||
+			!strings.Contains(err.Error(), "not a sealed segment") {
+			t.Fatalf("version %d segment not rejected: %v", version, err)
 		}
 	}
 }

@@ -94,7 +94,7 @@ func (st *corpusState) docs() []Doc {
 // TestDeltaVsRebuildDifferential is the delta correctness spine: for
 // randomized add/update/delete sequences, an index that absorbed the
 // deltas in place must be indistinguishable from a cold rebuild of the
-// resulting corpus — bit-identical Score and ScoreTopK rankings for
+// resulting corpus — bit-identical exhaustive and top-k rankings for
 // every shard count, alpha and k, and a byte-identical serialized
 // segment (deletes compact away without a trace).
 func TestDeltaVsRebuildDifferential(t *testing.T) {
@@ -137,11 +137,10 @@ func TestDeltaVsRebuildDifferential(t *testing.T) {
 			needs := []analysis.Analyzed{randomNeed(r), randomNeed(r), randomNeed(r)}
 			for _, need := range needs {
 				for _, alpha := range alphas {
-					want := rebuild.Score(need, alpha)
+					want := exhaustiveTopK(rebuild, need, alpha, 0, nil)
 					assertScoredBitIdentical(t, "mono delta vs rebuild", want, mono.Score(need, alpha))
-					for i, s := range shardeds {
-						assertScoredBitIdentical(t, "sharded delta vs rebuild",
-							want, s.ScoreWorkers(need, alpha, 1+i%3))
+					for _, s := range shardeds {
+						assertScoredBitIdentical(t, "sharded delta vs rebuild", want, s.Score(need, alpha))
 					}
 					for _, k := range ks {
 						wantK := want
@@ -149,10 +148,10 @@ func TestDeltaVsRebuildDifferential(t *testing.T) {
 							wantK = wantK[:k]
 						}
 						assertScoredBitIdentical(t, "mono topk delta vs rebuild",
-							wantK, mono.ScoreTopK(need, alpha, k, nil))
+							wantK, mono.Search(Query{Need: need, Alpha: alpha, K: k}))
 						for _, s := range shardeds {
 							assertScoredBitIdentical(t, "sharded topk delta vs rebuild",
-								wantK, s.ScoreTopK(need, alpha, k, nil))
+								wantK, s.Search(Query{Need: need, Alpha: alpha, K: k}))
 						}
 					}
 				}
@@ -204,7 +203,7 @@ func TestRemoveDropsEmptyLists(t *testing.T) {
 	if s.NumDocs() != 0 {
 		t.Fatalf("sharded index reports %d docs after removing everything", s.NumDocs())
 	}
-	flat := s.Flatten()
+	flat := s.flatten()
 	if len(flat.terms) != 0 || len(flat.entities) != 0 {
 		t.Fatalf("sharded index kept %d terms, %d entities after removing everything",
 			len(flat.terms), len(flat.entities))
@@ -303,24 +302,24 @@ func FuzzDeltaApply(f *testing.F) {
 		rebuild := flatFromDocs(st.docs())
 		need := fuzzNeed(needText, uint32(seed))
 		for _, alpha := range []float64{0, 0.6, 1} {
-			want := rebuild.Score(need, alpha)
+			want := exhaustiveTopK(rebuild, need, alpha, 0, nil)
 			assertScoredBitIdentical(t, "fuzz mono", want, ix.Score(need, alpha))
 			assertScoredBitIdentical(t, "fuzz sharded", want, s.Score(need, alpha))
 			wantK := want
 			if len(wantK) > 5 {
 				wantK = wantK[:5]
 			}
-			assertScoredBitIdentical(t, "fuzz topk", wantK, s.ScoreTopK(need, alpha, 5, nil))
+			assertScoredBitIdentical(t, "fuzz topk", wantK, s.Search(Query{Need: need, Alpha: alpha, K: 5}))
 		}
 
 		// Canonical encoding + skip-bound soundness on every touched
 		// list (Remove rebuilds lists fully sealed, so canonical() is
 		// the list itself whenever the tail is empty).
 		for _, l := range ix.terms {
-			checkTermBounds(t, l.canonical())
+			checkBounds(t, l.canonical())
 		}
 		for _, l := range ix.entities {
-			checkEntityBounds(t, l.canonical())
+			checkBounds(t, l.canonical())
 		}
 
 		var wantSeg, gotSeg bytes.Buffer

@@ -61,12 +61,12 @@ func fuzzNeed(needText string, entitySeed uint32) analysis.Analyzed {
 	return need
 }
 
-// FuzzIndexScore throws arbitrary needs, alphas and ks at Score and
-// ScoreTopK and checks the ranking contract: ordered by (score desc,
-// doc asc), all scores positive and finite, every match indexed,
-// byte-identical on repetition, bit-identical between the sequential
-// index and a 3-shard split of the same documents, and the pruned
-// top-k bit-identical to the first k of the exhaustive ranking.
+// FuzzIndexScore throws arbitrary needs, alphas and ks at Search and
+// checks the ranking contract: ordered by (score desc, doc asc), all
+// scores positive and finite, every match indexed, and bit-identical
+// to the test-only reference scorer (scorePlan) — exhaustive and
+// truncated to k, on the sequential index and a 3-shard split of the
+// same documents.
 func FuzzIndexScore(f *testing.F) {
 	// Seeds drawn from the synthetic corpus vocabulary and entity space.
 	f.Add("swim pool train", uint32(7), uint8(60), uint8(5))
@@ -95,160 +95,128 @@ func FuzzIndexScore(f *testing.F) {
 				t.Fatalf("ranking out of order at %d: %+v before %+v", i, got[i-1], sd)
 			}
 		}
-		assertScoredBitIdentical(t, "repeat", got, flat.Score(need, alpha))
+		assertScoredBitIdentical(t, "oracle", oracle(flat, Query{Need: need, Alpha: alpha}), got)
 		assertScoredBitIdentical(t, "sharded", got, sharded.Score(need, alpha))
 
-		// Pruned top-k must be the first k of the exhaustive ranking,
-		// bit for bit, on both the monolith and the sharded split.
-		k := int(kByte)
-		want := got
-		if k > 0 && len(want) > k {
-			want = want[:k]
-		}
-		assertScoredBitIdentical(t, "topk", want, flat.ScoreTopK(need, alpha, k, nil))
-		assertScoredBitIdentical(t, "topk sharded", want, sharded.ScoreTopK(need, alpha, k, nil))
+		// The pruned top k must be the first k of the exhaustive
+		// ranking, bit for bit, on both the monolith and the split.
+		q := Query{Need: need, Alpha: alpha, K: int(kByte)}
+		want := oracle(flat, q)
+		assertScoredBitIdentical(t, "topk", want, flat.Search(q))
+		assertScoredBitIdentical(t, "topk sharded", want, sharded.Search(q))
 	})
 }
 
-// FuzzBlockPostingsRoundTrip builds blocked posting lists from fuzzed
-// postings inserted in a fuzz-chosen rotation and checks the storage
-// contract the pruner relies on: the canonical encoding is
-// byte-identical regardless of insertion order, decoding returns
-// exactly the inserted postings, and every skip entry's (maxDoc, maxW)
-// bounds its block's members.
+// FuzzBlockPostingsRoundTrip builds blocked posting lists of both
+// kinds from fuzzed postings inserted in a fuzz-chosen rotation and
+// checks the storage contract the pruner relies on: the canonical
+// encoding is byte-identical regardless of insertion order, decoding
+// returns exactly the inserted postings, and every skip entry's
+// (maxDoc, maxW) bounds its block's members.
 func FuzzBlockPostingsRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 9, 0, 200}, uint8(0))
 	f.Add([]byte{0, 0, 0}, uint8(7))
 	f.Add(bytes.Repeat([]byte{5, 1, 128}, 300), uint8(130))
 
 	f.Fuzz(func(t *testing.T, data []byte, rot uint8) {
-		var tps []termPosting
-		var eps []entityPosting
+		var tps, eps []posting
 		doc := DocID(0)
 		for i := 0; i+2 < len(data) && len(tps) < 600; i += 3 {
 			doc += DocID(data[i]%13) + 1 // strictly ascending: one posting per doc
 			tf := int32(data[i+1]%7) + 1
-			tps = append(tps, termPosting{doc: doc, tf: tf})
-			eps = append(eps, entityPosting{doc: doc, ef: tf, dScore: float64(data[i+2]) / 255})
+			tps = append(tps, posting{doc: doc, f: tf})
+			eps = append(eps, posting{doc: doc, f: tf, dScore: float64(data[i+2]) / 255})
 		}
 		if len(tps) == 0 {
 			return
 		}
-
-		// Insert in a rotated order; the canonical form must not care.
-		tl, el := &termList{}, &entityList{}
-		r := int(rot) % len(tps)
-		for i := range tps {
-			j := (i + r) % len(tps)
-			tl.add(tps[j])
-			el.add(eps[j])
-		}
-		wantT := newTermList(tps)
-		wantE := newEntityList(eps)
-		ct, ce := tl.canonical(), el.canonical()
-		if !bytes.Equal(ct.data, wantT.data) {
-			t.Fatalf("term encoding differs by insertion order (rot %d, %d postings)", r, len(tps))
-		}
-		if !bytes.Equal(ce.data, wantE.data) {
-			t.Fatalf("entity encoding differs by insertion order (rot %d, %d postings)", r, len(tps))
-		}
-
-		// Decode round trip: sorted() must return the inserted postings.
-		gotT, gotE := tl.sorted(), el.sorted()
-		if len(gotT) != len(tps) || len(gotE) != len(eps) {
-			t.Fatalf("round trip lost postings: %d/%d term, %d/%d entity",
-				len(gotT), len(tps), len(gotE), len(eps))
-		}
-		for i := range tps {
-			if gotT[i] != tps[i] {
-				t.Fatalf("term posting %d: got %+v want %+v", i, gotT[i], tps[i])
+		for _, kind := range []struct {
+			entity bool
+			ps     []posting
+		}{{false, tps}, {true, eps}} {
+			// Insert in a rotated order; the canonical form must not care.
+			l := &postingList{entity: kind.entity}
+			r := int(rot) % len(kind.ps)
+			for i := range kind.ps {
+				l.add(kind.ps[(i+r)%len(kind.ps)])
 			}
-			if gotE[i] != eps[i] {
-				t.Fatalf("entity posting %d: got %+v want %+v", i, gotE[i], eps[i])
+			c := l.canonical()
+			if want := newPostingList(kind.entity, kind.ps); !bytes.Equal(c.data, want.data) {
+				t.Fatalf("entity=%v encoding differs by insertion order (rot %d, %d postings)", kind.entity, r, len(kind.ps))
 			}
-		}
 
-		// Bound soundness: list and block maxima dominate their members.
-		checkTermBounds(t, ct)
-		checkEntityBounds(t, ce)
+			// Decode round trip: sorted() must return the inserted postings.
+			got := l.sorted()
+			if len(got) != len(kind.ps) {
+				t.Fatalf("entity=%v round trip lost postings: %d/%d", kind.entity, len(got), len(kind.ps))
+			}
+			for i := range got {
+				if got[i] != kind.ps[i] {
+					t.Fatalf("entity=%v posting %d: got %+v want %+v", kind.entity, i, got[i], kind.ps[i])
+				}
+			}
+
+			// Bound soundness: list and block maxima dominate their members.
+			checkBounds(t, c)
+		}
 	})
 }
 
-func checkTermBounds(t *testing.T, l *termList) {
+// checkBounds verifies a canonical list's skip entries against its
+// postings: block i holds postings [i·blockSize, (i+1)·blockSize), so
+// its maxDoc is its last doc and its maxW dominates every member.
+func checkBounds(t *testing.T, l *postingList) {
 	t.Helper()
-	var scratch []termPosting
-	base := DocID(0)
+	ps := l.decodeAll()
 	for i, bm := range l.blocks {
-		scratch = l.decodeBlock(i, base, scratch[:0])
-		if len(scratch) != bm.n {
-			t.Fatalf("block %d decoded %d postings, skip entry says %d", i, len(scratch), bm.n)
-		}
-		for _, p := range scratch {
-			if p.doc > bm.maxDoc {
-				t.Fatalf("block %d: doc %d above skip maxDoc %d", i, p.doc, bm.maxDoc)
-			}
-			if w := float64(p.tf); w > bm.maxW || w > l.maxW {
+		block := ps[i*blockSize : i*blockSize+bm.n]
+		for _, p := range block {
+			if w := l.weight(p); w > bm.maxW || w > l.maxW {
 				t.Fatalf("block %d: weight %g above bounds (block %g, list %g)", i, w, bm.maxW, l.maxW)
 			}
 		}
-		if scratch[len(scratch)-1].doc != bm.maxDoc {
-			t.Fatalf("block %d: skip maxDoc %d, last doc %d", i, bm.maxDoc, scratch[len(scratch)-1].doc)
+		if last := block[len(block)-1].doc; last != bm.maxDoc {
+			t.Fatalf("block %d: skip maxDoc %d, last doc %d", i, bm.maxDoc, last)
 		}
-		base = bm.maxDoc
+	}
+	if n := len(l.blocks); n > 0 && (n-1)*blockSize+l.blocks[n-1].n != len(ps) {
+		t.Fatalf("blocks hold %d postings, list %d", (n-1)*blockSize+l.blocks[n-1].n, len(ps))
 	}
 }
 
-func checkEntityBounds(t *testing.T, l *entityList) {
-	t.Helper()
-	var scratch []entityPosting
-	base := DocID(0)
-	for i, bm := range l.blocks {
-		scratch = l.decodeBlock(i, base, scratch[:0])
-		if len(scratch) != bm.n {
-			t.Fatalf("block %d decoded %d postings, skip entry says %d", i, len(scratch), bm.n)
-		}
-		for _, p := range scratch {
-			if p.doc > bm.maxDoc {
-				t.Fatalf("block %d: doc %d above skip maxDoc %d", i, p.doc, bm.maxDoc)
-			}
-			if w := entityWeight(p); w > bm.maxW || w > l.maxW {
-				t.Fatalf("block %d: weight %g above bounds (block %g, list %g)", i, w, bm.maxW, l.maxW)
-			}
-		}
-		if scratch[len(scratch)-1].doc != bm.maxDoc {
-			t.Fatalf("block %d: skip maxDoc %d, last doc %d", i, bm.maxDoc, scratch[len(scratch)-1].doc)
-		}
-		base = bm.maxDoc
-	}
-}
-
-// FuzzShardedMergeEquivalence builds two disjoint random corpora with
-// fuzz-chosen sizes and shard counts, merges one sharded index into
-// the other (equal or re-routing path), and requires the result to
-// score bit-identically to a monolithic index over the union.
-func FuzzShardedMergeEquivalence(f *testing.F) {
+// FuzzSearchBackends builds a random corpus with a fuzz-chosen size
+// and shard count and answers one fuzz-chosen Query — k, accept mask,
+// own or superset statistics — on the monolith, the Sharded index and
+// the scatter split, requiring each to equal the reference scorer bit
+// for bit.
+func FuzzSearchBackends(f *testing.F) {
 	f.Add(int64(1), int64(2), uint8(4), uint8(4), "swim pool")
 	f.Add(int64(3), int64(4), uint8(3), uint8(5), "php copper milan")
 	f.Add(int64(5), int64(6), uint8(1), uint8(16), "train match game atom")
 
-	f.Fuzz(func(t *testing.T, seedA, seedB int64, shardsA, shardsB uint8, needText string) {
-		nA, nB := int(shardsA%8)+1, int(shardsB%8)+1
-		docsA := randomDocs(seedA, 40+int((seedA%7+7)%7)*10, 0)
-		docsB := randomDocs(seedB, 40+int((seedB%7+7)%7)*10, 10_000)
+	f.Fuzz(func(t *testing.T, seed, layout int64, shards, kByte uint8, needText string) {
+		n := int(shards%8) + 1
+		docs := randomDocs(seed, 40+int((seed%7+7)%7)*10, 0)
+		flat := flatFromDocs(docs)
+		sharded := NewSharded(n)
+		sharded.AddBatch(docs)
+		scatter := splitByRoute(docs, n)
 
-		flat := flatFromDocs(append(append([]Doc(nil), docsA...), docsB...))
-		a := NewSharded(nA)
-		a.AddBatch(docsA)
-		b := NewSharded(nB)
-		b.AddBatch(docsB)
-		a.Merge(b)
-
-		if flat.NumDocs() != a.NumDocs() {
-			t.Fatalf("merged doc count %d, want %d", a.NumDocs(), flat.NumDocs())
+		q := Query{Need: fuzzNeed(needText, uint32(seed)+uint32(layout)), K: int(kByte % 40)}
+		if mask := DocID(layout%5+5) % 5; mask > 0 {
+			q.Accept = func(d DocID) bool { return d%(mask+1) != 0 }
 		}
-		need := fuzzNeed(needText, uint32(seedA)+uint32(seedB))
+		if layout%2 != 0 {
+			// Score under the statistics of a strict superset, as a
+			// scatter shard does.
+			q.Stats = globalStats(flatFromDocs(append(randomDocs(seed+1, 30, 50_000), docs...)))
+		}
 		for _, alpha := range []float64{0, 0.6, 1} {
-			assertScoredBitIdentical(t, "merge", flat.Score(need, alpha), a.Score(need, alpha))
+			q.Alpha = alpha
+			want := oracle(flat, q)
+			assertScoredBitIdentical(t, "monolith", want, flat.Search(q))
+			assertScoredBitIdentical(t, "sharded", want, sharded.Search(q))
+			assertScoredBitIdentical(t, "scatter", want, scatterSearch(scatter, flat, q))
 		}
 	})
 }

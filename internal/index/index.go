@@ -27,7 +27,7 @@ import (
 	"expertfind/internal/telemetry"
 )
 
-// Query-path metrics: how many postings each Score call walks is the
+// Query-path metrics: how many postings each search walks is the
 // raw unit of matching work, what the later sharding/caching PRs must
 // move. One atomic add per query keeps the hot loops untouched.
 var (
@@ -45,19 +45,16 @@ var (
 // DocID identifies an indexed resource.
 type DocID = socialgraph.ResourceID
 
-// Searcher is the query-side index API shared by the monolithic Index
-// and the sharded variant: everything the expert-finding pipeline
-// needs to weight, match and persist a collection.
+// Searcher is the query-side index API shared by the monolithic
+// Index, the sharded variant and the disk-backed Store: everything the
+// expert-finding pipeline needs to weight, match and persist a
+// collection.
 type Searcher interface {
+	// Search evaluates Eq. (1) for q (see Query).
+	Search(q Query) []ScoredDoc
+	// Score is Search(Query{Need: need, Alpha: alpha}): every match,
+	// weighted by the backend's own statistics.
 	Score(need analysis.Analyzed, alpha float64) []ScoredDoc
-	// ScoreTopK is Score bounded to the k best-ranked documents:
-	// exactly Score's ranking truncated to its first k entries, byte
-	// for byte, but computed with MaxScore-style pruning that skips
-	// documents provably unable to enter the top k. k <= 0 disables
-	// the bound. accept, when non-nil, restricts scoring to accepted
-	// documents (the finder passes reachability membership), so the
-	// reference ranking is Score filtered by accept, then truncated.
-	ScoreTopK(need analysis.Analyzed, alpha float64, k int, accept func(DocID) bool) []ScoredDoc
 	NumDocs() int
 	Has(id DocID) bool
 	DocFreq(term string) int
@@ -67,90 +64,82 @@ type Searcher interface {
 	io.WriterTo
 }
 
-// ParallelSearcher is implemented by indexes whose scoring fans out
-// over document shards on a bounded worker pool.
-type ParallelSearcher interface {
-	Searcher
-	// ScoreWorkers is Score with an explicit bound on the number of
-	// concurrent shard scorers: 0 selects the index's own default,
-	// 1 forces fully sequential scoring.
-	ScoreWorkers(need analysis.Analyzed, alpha float64, workers int) []ScoredDoc
-	// ScoreTopKWorkers is ScoreTopK with the ScoreWorkers bound.
-	ScoreTopKWorkers(need analysis.Analyzed, alpha float64, workers, k int, accept func(DocID) bool) []ScoredDoc
-	// NumShards reports the shard count.
-	NumShards() int
+// Query is one scoring request. Every backend answers it with the same
+// ranking: the positive Eq. (1) matches of Need in descending score
+// (ties broken by ascending DocID), restricted to Accept, truncated to
+// K — bit for bit, whatever the shard count or segment layout.
+type Query struct {
+	// Need is the analyzed expertise need.
+	Need analysis.Analyzed
+	// Alpha balances term matching (1) against entity matching (0).
+	Alpha float64
+	// Stats is the collection view the query is weighted against; nil
+	// selects the backend's own statistics. The scatter serving layer
+	// passes cross-process global statistics, so a shard holding one
+	// slice of the corpus scores with collection-global weights.
+	Stats CollectionStats
+	// K bounds the ranking to its k best documents, letting the kernel
+	// prune documents that provably cannot enter them (MaxScore); the
+	// result equals the unbounded ranking truncated to k. K <= 0 keeps
+	// every match.
+	K int
+	// Accept, when non-nil, restricts scoring to accepted documents
+	// (the finder passes reachability membership). nil accepts all.
+	Accept func(DocID) bool
 }
 
-// StatsSearcher is implemented by indexes that can score under an
-// externally supplied collection view (ScoreStats); both the
-// monolithic and the sharded index qualify. The scatter serving layer
-// requires it of a shard process's index.
-type StatsSearcher interface {
-	Searcher
-	ScoreStats(need analysis.Analyzed, alpha float64, st CollectionStats) []ScoredDoc
-	// ScoreStatsTopK is ScoreStats bounded to the k best-ranked
-	// documents under the accept filter (see Searcher.ScoreTopK).
-	ScoreStatsTopK(need analysis.Analyzed, alpha float64, st CollectionStats, k int, accept func(DocID) bool) []ScoredDoc
+// plan weights the query against its Stats, or own when Stats is nil.
+func (q Query) plan(own CollectionStats) queryPlan {
+	st := q.Stats
+	if st == nil {
+		st = own
+	}
+	return planQuery(q.Need, q.Alpha, st)
 }
 
 var (
-	_ Searcher         = (*Index)(nil)
-	_ ParallelSearcher = (*Sharded)(nil)
-	_ StatsSearcher    = (*Index)(nil)
-	_ StatsSearcher    = (*Sharded)(nil)
+	_ Searcher = (*Index)(nil)
+	_ Searcher = (*Sharded)(nil)
+	_ Searcher = (*Store)(nil)
 )
-
-type termPosting struct {
-	doc DocID
-	tf  int32
-}
-
-type entityPosting struct {
-	doc    DocID
-	ef     int32
-	dScore float64
-}
 
 // Index is an append-only inverted index over analyzed resources.
 // Inverse resource frequencies reflect the collection at query time,
 // so documents can be added at any moment. Index is not safe for
-// concurrent mutation; concurrent Score calls are safe once building
-// is done (posting lists seal themselves during Add/Merge, never
-// during scoring).
+// concurrent mutation; concurrent searches are safe once building is
+// done (posting lists seal themselves during Add/Merge, never during
+// scoring).
 //
 // Posting lists are blocked: delta-encoded fixed-size blocks with
 // per-block skip entries (max doc id, max weightless score) plus a
 // small unsorted tail of recent additions — see blockpostings.go. The
-// skip entries feed the ScoreTopK pruner.
+// skip entries feed the top-k pruner.
 type Index struct {
-	terms    map[string]*termList
-	entities map[kb.EntityID]*entityList
+	terms    map[string]*postingList
+	entities map[kb.EntityID]*postingList
 	docs     map[DocID]struct{}
 }
 
 // New returns an empty index.
 func New() *Index {
 	return &Index{
-		terms:    make(map[string]*termList),
-		entities: make(map[kb.EntityID]*entityList),
+		terms:    make(map[string]*postingList),
+		entities: make(map[kb.EntityID]*postingList),
 		docs:     make(map[DocID]struct{}),
 	}
 }
 
-func (ix *Index) termList(t string) *termList {
-	l := ix.terms[t]
-	if l == nil {
-		l = &termList{}
-		ix.terms[t] = l
-	}
-	return l
-}
+func (ix *Index) lookupTerm(t string) *postingList { return ix.terms[t] }
 
-func (ix *Index) entityList(e kb.EntityID) *entityList {
-	l := ix.entities[e]
+func (ix *Index) lookupEntity(e kb.EntityID) *postingList { return ix.entities[e] }
+
+// listFor returns the list under key, creating an empty one of the
+// given kind on first use.
+func listFor[K comparable](lists map[K]*postingList, key K, entity bool) *postingList {
+	l := lists[key]
 	if l == nil {
-		l = &entityList{}
-		ix.entities[e] = l
+		l = &postingList{entity: entity}
+		lists[key] = l
 	}
 	return l
 }
@@ -163,10 +152,10 @@ func (ix *Index) Add(id DocID, a analysis.Analyzed) {
 	}
 	ix.docs[id] = struct{}{}
 	for t, tf := range a.Terms {
-		ix.termList(t).add(termPosting{doc: id, tf: int32(tf)})
+		listFor(ix.terms, t, false).add(posting{doc: id, f: int32(tf)})
 	}
 	for e, st := range a.Entities {
-		ix.entityList(e).add(entityPosting{doc: id, ef: int32(st.Freq), dScore: st.DScore})
+		listFor(ix.entities, e, true).add(posting{doc: id, f: int32(st.Freq), dScore: st.DScore})
 	}
 }
 
@@ -186,61 +175,35 @@ func (ix *Index) Remove(id DocID, a analysis.Analyzed) {
 	}
 	delete(ix.docs, id)
 	for t := range a.Terms {
-		l := ix.terms[t]
-		if l == nil {
-			panic("index: removing posting from absent term list")
-		}
-		kept, found := dropTermPosting(l.decodeAll(), id)
-		if !found {
-			panic("index: term posting missing on remove")
-		}
-		if len(kept) == 0 {
-			delete(ix.terms, t)
-			continue
-		}
-		ix.terms[t] = newTermList(kept)
+		dropPosting(ix.terms, t, id)
 	}
 	for e := range a.Entities {
-		l := ix.entities[e]
-		if l == nil {
-			panic("index: removing posting from absent entity list")
-		}
-		kept, found := dropEntityPosting(l.decodeAll(), id)
-		if !found {
-			panic("index: entity posting missing on remove")
-		}
-		if len(kept) == 0 {
-			delete(ix.entities, e)
-			continue
-		}
-		ix.entities[e] = newEntityList(kept)
+		dropPosting(ix.entities, e, id)
 	}
 }
 
-// dropTermPosting filters doc id out of ps in place, reporting whether
-// it was present.
-func dropTermPosting(ps []termPosting, id DocID) ([]termPosting, bool) {
-	kept, found := ps[:0], false
-	for _, p := range ps {
-		if p.doc == id {
-			found = true
-			continue
-		}
-		kept = append(kept, p)
+// dropPosting rebuilds the list under key without doc id, deleting the
+// list when it empties. A missing list or posting panics.
+func dropPosting[K comparable](lists map[K]*postingList, key K, id DocID) {
+	l := lists[key]
+	if l == nil {
+		panic("index: removing posting from absent list")
 	}
-	return kept, found
-}
-
-func dropEntityPosting(ps []entityPosting, id DocID) ([]entityPosting, bool) {
-	kept, found := ps[:0], false
+	ps := l.decodeAll()
+	kept := ps[:0]
 	for _, p := range ps {
-		if p.doc == id {
-			found = true
-			continue
+		if p.doc != id {
+			kept = append(kept, p)
 		}
-		kept = append(kept, p)
 	}
-	return kept, found
+	switch {
+	case len(kept) == len(ps):
+		panic("index: posting missing on remove")
+	case len(kept) == 0:
+		delete(lists, key)
+	default:
+		lists[key] = newPostingList(l.entity, kept)
+	}
 }
 
 // Update replaces the indexed form of a document: old must be the
@@ -262,13 +225,16 @@ func (ix *Index) Merge(other *Index) {
 		}
 		ix.docs[d] = struct{}{}
 	}
-	for t, ol := range other.terms {
-		l := ix.termList(t)
-		ol.forEach(func(p termPosting) { l.add(p) })
-	}
-	for e, ol := range other.entities {
-		l := ix.entityList(e)
-		ol.forEach(func(p entityPosting) { l.add(p) })
+	mergeLists(ix.terms, other.terms)
+	mergeLists(ix.entities, other.entities)
+}
+
+// mergeLists appends every posting of src's lists to dst's lists of
+// the same key.
+func mergeLists[K comparable](dst, src map[K]*postingList) {
+	for key, ol := range src {
+		l := listFor(dst, key, ol.entity)
+		ol.forEach(l.add)
 	}
 }
 
@@ -378,10 +344,10 @@ type plannedEntity struct {
 // queryPlan is the deterministic, weight-resolved form of a need:
 // terms in lexicographic order, entities in ascending ID order, with
 // zero-weight dimensions dropped. Planning once and walking postings
-// in plan order makes every Score evaluation accumulate each
-// document's float64 score in the same addition order — byte-identical
-// output across runs and across shard counts (each document lives in
-// exactly one shard, so its addition chain never changes).
+// in plan order makes every search accumulate each document's float64
+// score in the same addition order — byte-identical output across runs
+// and across shard counts (each document lives in exactly one shard,
+// so its addition chain never changes).
 type queryPlan struct {
 	terms    []plannedTerm
 	entities []plannedEntity
@@ -427,54 +393,6 @@ func planQuery(need analysis.Analyzed, alpha float64, st CollectionStats) queryP
 	return plan
 }
 
-// scorePlan walks this index's postings for an already-weighted plan
-// and returns the positive matches ordered by descending score (ties
-// broken by ascending DocID), plus the number of postings walked. The
-// plan's weights may come from a larger collection than this index
-// (the sharded path plans globally, scores per shard).
-func (ix *Index) scorePlan(plan queryPlan) ([]ScoredDoc, int) {
-	scores := make(map[DocID]float64)
-	postings := 0
-
-	for _, pt := range plan.terms {
-		l := ix.terms[pt.term]
-		if l == nil {
-			continue
-		}
-		postings += l.count
-		w := pt.w
-		l.forEach(func(p termPosting) {
-			scores[p.doc] += float64(p.tf) * w
-		})
-	}
-	for _, pe := range plan.entities {
-		l := ix.entities[pe.e]
-		if l == nil {
-			continue
-		}
-		postings += l.count
-		w := pe.w
-		l.forEach(func(p entityPosting) {
-			// Eq. 2: we(e,r) = 1 + dScore when the entity was
-			// recognized with positive confidence.
-			we := 0.0
-			if p.dScore > 0 {
-				we = 1 + p.dScore
-			}
-			scores[p.doc] += float64(p.ef) * w * we
-		})
-	}
-
-	out := make([]ScoredDoc, 0, len(scores))
-	for d, s := range scores {
-		if s > 0 {
-			out = append(out, ScoredDoc{Doc: d, Score: s})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return scoredLess(out[i], out[j]) })
-	return out, postings
-}
-
 // scoredLess is the one ranking comparator: descending score, ties
 // broken by ascending DocID. Document IDs are unique, so it is a total
 // order and every sort/merge over it is deterministic.
@@ -483,6 +401,13 @@ func scoredLess(a, b ScoredDoc) bool {
 		return a.Score > b.Score
 	}
 	return a.Doc < b.Doc
+}
+
+// Search evaluates Eq. (1) for q over this index (see Query).
+func (ix *Index) Search(q Query) []ScoredDoc {
+	out, c := scoreLists(planLists(ix, q.plan(ix)), q.K, q.Accept)
+	c.record(len(out))
+	return out
 }
 
 // Score evaluates Eq. (1) for every resource matching the analyzed
@@ -494,19 +419,5 @@ func scoredLess(a, b ScoredDoc) bool {
 // alpha balances textual term matching (alpha = 1) against entity
 // matching (alpha = 0); the paper settles on alpha = 0.6 (§3.3.2).
 func (ix *Index) Score(need analysis.Analyzed, alpha float64) []ScoredDoc {
-	return ix.ScoreStats(need, alpha, ix)
-}
-
-// ScoreStats is Score with the query planned against an explicit
-// collection view instead of this index's own statistics. The scatter
-// serving layer uses it to score one shard slice under global
-// (cross-process) weights: with st equal to the stats of the full
-// collection, per-document scores are bit-identical to scoring the
-// whole collection in one process.
-func (ix *Index) ScoreStats(need analysis.Analyzed, alpha float64, st CollectionStats) []ScoredDoc {
-	out, postings := ix.scorePlan(planQuery(need, alpha, st))
-	mQueries.Inc()
-	mPostings.Add(float64(postings))
-	mMatches.Add(float64(len(out)))
-	return out
+	return ix.Search(Query{Need: need, Alpha: alpha})
 }

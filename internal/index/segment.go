@@ -8,7 +8,6 @@ import (
 	"os"
 	"sort"
 
-	"expertfind/internal/analysis"
 	"expertfind/internal/kb"
 )
 
@@ -201,7 +200,7 @@ func scanSegment(f *os.File, path string) (*SegmentReader, error) {
 		}
 		prevName = name
 		off := pr.off
-		l, err := readTermBlocks(pr, ix, nDocs, name)
+		l, err := readList(pr, ix, nDocs, false, fmt.Sprintf("term %q", name))
 		if err != nil {
 			return nil, fmt.Errorf("index: segment %s: %w", path, err)
 		}
@@ -232,7 +231,7 @@ func scanSegment(f *os.File, path string) (*SegmentReader, error) {
 		}
 		prevID = int64(eid)
 		off := pr.off
-		l, err := readEntityBlocks(pr, ix, nDocs, eid)
+		l, err := readList(pr, ix, nDocs, true, fmt.Sprintf("entity %d", eid))
 		if err != nil {
 			return nil, fmt.Errorf("index: segment %s: %w", path, err)
 		}
@@ -292,64 +291,36 @@ func (sr *SegmentReader) uvarint(raw []byte, pos int) (uint64, int) {
 	return v, pos + n
 }
 
-// loadTermList materializes one term's posting list from the file:
-// block payloads are copied into a contiguous buffer and the skip
-// entries rebuilt from the stored per-block headers. Returns nil when
-// the segment has no postings for the term.
-func (sr *SegmentReader) loadTermList(t string) *termList {
-	ref, ok := sr.terms[t]
+// loadList materializes one posting list of the given kind from the
+// file: block payloads are copied into a contiguous buffer and the
+// skip entries rebuilt from the stored per-block headers. Returns nil
+// when the dictionary has no entry (ok false).
+func (sr *SegmentReader) loadList(ref segList, ok, entity bool) *postingList {
 	if !ok {
 		return nil
 	}
 	raw := sr.src.section(ref.off, ref.end-ref.off)
 	count, pos := sr.uvarint(raw, 0)
 	nBlocks, pos := sr.uvarint(raw, pos)
-	l := &termList{count: int(count), maxW: ref.maxW}
+	l := &postingList{entity: entity, count: int(count), maxW: ref.maxW}
 	l.blocks = make([]blockMeta, 0, nBlocks)
 	l.data = make([]byte, 0, len(raw)-pos)
 	base := DocID(0)
 	for b := uint64(0); b < nBlocks; b++ {
 		n, p := sr.uvarint(raw, pos)
 		maxDocDelta, p := sr.uvarint(raw, p)
-		maxW, p := sr.uvarint(raw, p)
-		byteLen, p := sr.uvarint(raw, p)
-		if p+int(byteLen) > len(raw) {
-			segCorrupt(sr.path, "block payload past list end")
+		var maxW float64
+		if entity {
+			if p+8 > len(raw) {
+				segCorrupt(sr.path, "truncated block bound")
+			}
+			maxW = float64FromBytes(raw[p:])
+			p += 8
+		} else {
+			var tf uint64
+			tf, p = sr.uvarint(raw, p)
+			maxW = float64(tf)
 		}
-		bm := blockMeta{off: len(l.data), n: int(n), maxDoc: base + DocID(maxDocDelta), maxW: float64(maxW)}
-		l.data = append(l.data, raw[p:p+int(byteLen)]...)
-		pos = p + int(byteLen)
-		base = bm.maxDoc
-		l.blocks = append(l.blocks, bm)
-	}
-	if pos != len(raw) {
-		segCorrupt(sr.path, "trailing bytes in term list")
-	}
-	return l
-}
-
-// loadEntityList is loadTermList for an entity list (float64 block
-// bounds).
-func (sr *SegmentReader) loadEntityList(e kb.EntityID) *entityList {
-	ref, ok := sr.ents[e]
-	if !ok {
-		return nil
-	}
-	raw := sr.src.section(ref.off, ref.end-ref.off)
-	count, pos := sr.uvarint(raw, 0)
-	nBlocks, pos := sr.uvarint(raw, pos)
-	l := &entityList{count: int(count), maxW: ref.maxW}
-	l.blocks = make([]blockMeta, 0, nBlocks)
-	l.data = make([]byte, 0, len(raw)-pos)
-	base := DocID(0)
-	for b := uint64(0); b < nBlocks; b++ {
-		n, p := sr.uvarint(raw, pos)
-		maxDocDelta, p := sr.uvarint(raw, p)
-		if p+8 > len(raw) {
-			segCorrupt(sr.path, "truncated block bound")
-		}
-		maxW := float64FromBytes(raw[p:])
-		p += 8
 		byteLen, p := sr.uvarint(raw, p)
 		if p+int(byteLen) > len(raw) {
 			segCorrupt(sr.path, "block payload past list end")
@@ -361,44 +332,29 @@ func (sr *SegmentReader) loadEntityList(e kb.EntityID) *entityList {
 		l.blocks = append(l.blocks, bm)
 	}
 	if pos != len(raw) {
-		segCorrupt(sr.path, "trailing bytes in entity list")
+		segCorrupt(sr.path, "trailing bytes in list")
 	}
 	return l
 }
 
-// planView materializes exactly the lists a query plan touches into an
-// ephemeral Index. The scorers (scorePlan / scorePlanTopK) read only
-// the term and entity maps, so scoring this view runs the identical
-// accumulation code — and produces bit-identical contributions — as an
-// in-memory index holding the same postings.
-func (sr *SegmentReader) planView(plan queryPlan) *Index {
-	v := &Index{
-		terms:    make(map[string]*termList, len(plan.terms)),
-		entities: make(map[kb.EntityID]*entityList, len(plan.entities)),
-	}
-	for _, pt := range plan.terms {
-		if l := sr.loadTermList(pt.term); l != nil {
-			v.terms[pt.term] = l
-		}
-	}
-	for _, pe := range plan.entities {
-		if l := sr.loadEntityList(pe.e); l != nil {
-			v.entities[pe.e] = l
-		}
-	}
-	return v
+// lookupTerm / lookupEntity materialize one list from the file on every
+// call (nil when the segment has none): the segment store scores
+// straight from them, so only the lists a query plans are ever read.
+func (sr *SegmentReader) lookupTerm(t string) *postingList {
+	ref, ok := sr.terms[t]
+	return sr.loadList(ref, ok, false)
+}
+
+func (sr *SegmentReader) lookupEntity(e kb.EntityID) *postingList {
+	ref, ok := sr.ents[e]
+	return sr.loadList(ref, ok, true)
 }
 
 // segmentMergeSource adapts a segment (minus its tombstoned documents)
 // to the streaming merge writer.
 type segmentMergeSource struct {
-	r    *SegmentReader
-	drop map[DocID]analysis.Analyzed
-}
-
-func (s segmentMergeSource) dropped(d DocID) bool {
-	_, ok := s.drop[d]
-	return ok
+	r *SegmentReader
+	dropSet
 }
 
 func (s segmentMergeSource) liveDocs() []int64 {
@@ -413,40 +369,8 @@ func (s segmentMergeSource) liveDocs() []int64 {
 
 func (s segmentMergeSource) termNames() []string { return s.r.names }
 
-func (s segmentMergeSource) termPostings(t string) []termPosting {
-	l := s.r.loadTermList(t)
-	if l == nil {
-		return nil
-	}
-	ps := l.decodeAll() // sealed lists decode in ascending doc order
-	if len(s.drop) == 0 {
-		return ps
-	}
-	kept := ps[:0]
-	for _, p := range ps {
-		if !s.dropped(p.doc) {
-			kept = append(kept, p)
-		}
-	}
-	return kept
-}
-
 func (s segmentMergeSource) entityIDs() []int64 { return s.r.eids }
 
-func (s segmentMergeSource) entityPostings(e kb.EntityID) []entityPosting {
-	l := s.r.loadEntityList(e)
-	if l == nil {
-		return nil
-	}
-	ps := l.decodeAll()
-	if len(s.drop) == 0 {
-		return ps
-	}
-	kept := ps[:0]
-	for _, p := range ps {
-		if !s.dropped(p.doc) {
-			kept = append(kept, p)
-		}
-	}
-	return kept
-}
+func (s segmentMergeSource) lookupTerm(t string) *postingList { return s.r.lookupTerm(t) }
+
+func (s segmentMergeSource) lookupEntity(e kb.EntityID) *postingList { return s.r.lookupEntity(e) }

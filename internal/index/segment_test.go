@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -55,13 +56,13 @@ func segToIndex(t *testing.T, r *SegmentReader) *Index {
 		perDoc[DocID(d)] = analysis.Analyzed{Terms: map[string]int{}, Entities: map[kb.EntityID]analysis.EntityStats{}}
 	}
 	for _, name := range src.termNames() {
-		for _, p := range src.termPostings(name) {
-			perDoc[p.doc].Terms[name] = int(p.tf)
+		for _, p := range livePostings(src, src.lookupTerm(name)) {
+			perDoc[p.doc].Terms[name] = int(p.f)
 		}
 	}
 	for _, e := range src.entityIDs() {
-		for _, p := range src.entityPostings(kb.EntityID(e)) {
-			perDoc[p.doc].Entities[kb.EntityID(e)] = analysis.EntityStats{Freq: int(p.ef), DScore: p.dScore}
+		for _, p := range livePostings(src, src.lookupEntity(kb.EntityID(e))) {
+			perDoc[p.doc].Entities[kb.EntityID(e)] = analysis.EntityStats{Freq: int(p.f), DScore: p.dScore}
 		}
 	}
 	for d, a := range perDoc {
@@ -142,7 +143,7 @@ func TestStoreScoringBitIdentical(t *testing.T) {
 				for q := 0; q < 12; q++ {
 					need := randomNeed(r)
 					for _, alpha := range []float64{0, 0.6, 1} {
-						want := mono.Score(need, alpha)
+						want := exhaustiveTopK(mono, need, alpha, 0, nil)
 						label := fmt.Sprintf("seed=%d layout=%v stream=%v q=%d α=%g", seed, layout, stream, q, alpha)
 						assertScoredBitIdentical(t, label, s.Score(need, alpha), want)
 						assertScoredBitIdentical(t, label+" sharded", shard.Score(need, alpha), want)
@@ -152,7 +153,7 @@ func TestStoreScoringBitIdentical(t *testing.T) {
 								wantK = wantK[:k]
 							}
 							assertScoredBitIdentical(t, fmt.Sprintf("%s k=%d", label, k),
-								s.ScoreTopK(need, alpha, k, nil), wantK)
+								s.Search(Query{Need: need, Alpha: alpha, K: k}), wantK)
 						}
 					}
 				}
@@ -229,7 +230,7 @@ func TestStoreDeltaVsRebuild(t *testing.T) {
 			assertScoredBitIdentical(t, fmt.Sprintf("round %d q %d", round, q),
 				s.Score(need, 0.6), mono.Score(need, 0.6))
 			assertScoredBitIdentical(t, fmt.Sprintf("round %d q %d topk", round, q),
-				s.ScoreTopK(need, 0.6, 10, nil), mono.ScoreTopK(need, 0.6, 10, nil))
+				s.Search(Query{Need: need, Alpha: 0.6, K: 10}), mono.Search(Query{Need: need, Alpha: 0.6, K: 10}))
 		}
 		// Removed docs are gone; live docs are present.
 		if s.Has(d.Removes[0].ID) {
@@ -471,7 +472,7 @@ func TestStoreConcurrentMaintenance(t *testing.T) {
 				default:
 				}
 				need := randomNeed(r)
-				got := s.ScoreTopK(need, 0.6, 10, nil)
+				got := s.Search(Query{Need: need, Alpha: 0.6, K: 10})
 				for i := 1; i < len(got); i++ {
 					if scoredLess(got[i], got[i-1]) {
 						t.Errorf("unordered results under concurrency")
@@ -506,8 +507,8 @@ func TestStoreConcurrentMaintenance(t *testing.T) {
 
 // Accessor and explicit-stats paths: Dir/Path/Size on a sealed store,
 // IRF/EIRF parity with the monolith (including unseen dimensions),
-// and ScoreStats/ScoreStatsTopK under an external collection view —
-// the shape the scatter coordinator scores shard slices with.
+// and Search under an external collection view — the shape the
+// scatter coordinator scores shard slices with.
 func TestStoreAccessorsAndExplicitStats(t *testing.T) {
 	docs := randomDocs(5, 300, 0)
 	mono := flatFromDocs(docs)
@@ -538,10 +539,180 @@ func TestStoreAccessorsAndExplicitStats(t *testing.T) {
 		for _, alpha := range []float64{0, 0.6, 1} {
 			label := fmt.Sprintf("stats q=%d α=%g", q, alpha)
 			assertScoredBitIdentical(t, label,
-				s.ScoreStats(need, alpha, mono), mono.ScoreStats(need, alpha, mono))
+				s.Search(Query{Need: need, Alpha: alpha, Stats: mono}), mono.Search(Query{Need: need, Alpha: alpha, Stats: mono}))
 			assertScoredBitIdentical(t, label+" k=5",
-				s.ScoreStatsTopK(need, alpha, mono, 5, nil),
-				mono.ScoreStatsTopK(need, alpha, mono, 5, nil))
+				s.Search(Query{Need: need, Alpha: alpha, Stats: mono, K: 5}),
+				mono.Search(Query{Need: need, Alpha: alpha, Stats: mono, K: 5}))
+		}
+	}
+}
+
+// byteSource serves a fixed byte slice as a segment's sections.
+type byteSource []byte
+
+func (b byteSource) section(off, n int64) []byte { return b[off : off+n] }
+func (byteSource) Close() error                  { return nil }
+
+// A list body that changed after the open pass validated it panics with
+// the post-open corruption report instead of serving wrong postings.
+func TestSegmentLoadListCorruptAfterOpen(t *testing.T) {
+	cases := []struct {
+		name   string
+		entity bool
+		body   []byte
+		want   string
+	}{
+		{"bad varint", false, bytes.Repeat([]byte{0xff}, 12), "bad varint"},
+		{"truncated varint", false, []byte{1, 5, 0, 0}, "truncated varint"},
+		{"payload past end", false, []byte{1, 1, 1, 1, 1, 9, 0}, "block payload past list end"},
+		{"trailing bytes", false, []byte{1, 0, 7}, "trailing bytes in list"},
+		{"truncated entity bound", true, []byte{1, 1, 1, 1, 0, 0}, "truncated block bound"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sr := &SegmentReader{path: "seg-x.seg", src: byteSource(tc.body)}
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "corrupted after open") || !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic %q, want a post-open corruption report naming %q", msg, tc.want)
+				}
+			}()
+			sr.loadList(segList{end: int64(len(tc.body))}, true, tc.entity)
+		})
+	}
+}
+
+// The same report fires for a real file rewritten underneath an open
+// streaming reader.
+func TestSegmentFileMutatedAfterOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "seg-000000.seg")
+	var buf bytes.Buffer
+	if _, err := randomIndex(4, 50).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sr, err := OpenSegment(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sr.Close()
+	ref := sr.terms[sr.names[0]]
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(bytes.Repeat([]byte{0xff}, int(ref.end-ref.off)), ref.off); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "corrupted after open") {
+			t.Fatalf("panic %q, want a post-open corruption report", msg)
+		}
+	}()
+	sr.lookupTerm(sr.names[0])
+}
+
+// Both merge sources drop their tombstoned documents: a segment and
+// an in-memory index merged under drop sets serialize exactly like a
+// monolith over the survivors.
+func TestMergeSourcesDropTombstones(t *testing.T) {
+	docs := randomDocs(15, 200, 0)
+	s := storeOf(t, docs[:100], []int{100}, StoreOptions{})
+	mem := flatFromDocs(docs[100:])
+	drop := func(part []Doc) map[DocID]analysis.Analyzed {
+		out := map[DocID]analysis.Analyzed{}
+		for i, d := range part {
+			if i%3 == 0 {
+				out[d.ID] = d.A
+			}
+		}
+		return out
+	}
+	var live []Doc
+	for i, d := range docs {
+		if i%100%3 != 0 {
+			live = append(live, d)
+		}
+	}
+	var want, got bytes.Buffer
+	if _, err := flatFromDocs(live).WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	spill, err := os.CreateTemp(t.TempDir(), "spill-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer spill.Close()
+	srcs := []mergeSource{
+		segmentMergeSource{s.segs[0].r, drop(docs[:100])},
+		indexMergeSource{mem, drop(docs[100:])},
+	}
+	if _, err := writeMerged(&got, spill, srcs); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("tombstone-filtered merge differs from the monolith over the survivors")
+	}
+}
+
+// writeSegmentFile cleans up after every failure: no temp file and no
+// half-written segment survive, and the error reaches the caller.
+func TestWriteSegmentFileFailures(t *testing.T) {
+	docs := randomDocs(16, 40, 0)
+	s := storeOf(t, nil, nil, StoreOptions{})
+	ix := flatFromDocs(docs)
+	noLeftovers := func(dir string) {
+		t.Helper()
+		for _, pat := range []string{"*.tmp", "spill-*"} {
+			if m, _ := filepath.Glob(filepath.Join(dir, pat)); len(m) != 0 {
+				t.Fatalf("leftover files: %v", m)
+			}
+		}
+	}
+
+	// The merge itself fails: two sources share a live document.
+	path := filepath.Join(s.Dir(), "seg-000100.seg")
+	if _, err := s.writeSegmentFile(path, []mergeSource{indexMergeSource{ix: ix}, indexMergeSource{ix: ix}}); err == nil {
+		t.Fatal("merge of overlapping sources succeeded")
+	}
+	noLeftovers(s.Dir())
+
+	// The rename fails: the target name is taken by a non-empty directory.
+	busy := filepath.Join(s.Dir(), "seg-000101.seg")
+	if err := os.MkdirAll(filepath.Join(busy, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.writeSegmentFile(busy, []mergeSource{indexMergeSource{ix: ix}}); err == nil {
+		t.Fatal("rename onto a directory succeeded")
+	}
+	noLeftovers(s.Dir())
+
+	// The spill file cannot be created: the store directory is gone
+	// while the target directory still exists.
+	other := t.TempDir()
+	if err := os.RemoveAll(s.Dir()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.writeSegmentFile(filepath.Join(other, "seg-000102.seg"), []mergeSource{indexMergeSource{ix: ix}}); err == nil {
+		t.Fatal("segment written without a spill directory")
+	}
+	noLeftovers(other)
+}
+
+func TestDeltaEmpty(t *testing.T) {
+	if !(Delta{}).Empty() {
+		t.Error("zero Delta not empty")
+	}
+	for _, d := range []Delta{
+		{Adds: []Doc{{ID: 1}}},
+		{Updates: []DocUpdate{{ID: 1}}},
+		{Removes: []Doc{{ID: 1}}},
+	} {
+		if d.Empty() {
+			t.Errorf("%+v reported empty", d)
 		}
 	}
 }

@@ -128,14 +128,14 @@ func (g *storeSegment) size() int64 {
 	return 0
 }
 
-// planView returns the index view to score this segment's share of a
-// plan: the frozen memtable directly, or the planned lists
-// materialized from disk.
-func (g *storeSegment) planView(plan queryPlan) *Index {
+// lists returns this segment's share of a plan for the kernel: the
+// frozen memtable's lists directly, or the planned lists materialized
+// from disk.
+func (g *storeSegment) lists(plan queryPlan) []plannedList {
 	if g.frozen != nil {
-		return g.frozen
+		return planLists(g.frozen, plan)
 	}
-	return g.r.planView(plan)
+	return planLists(g.r, plan)
 }
 
 // acceptFilter narrows accept to documents not tombstoned in this
@@ -160,17 +160,16 @@ func (g *storeSegment) acceptFilter(accept func(DocID) bool) func(DocID) bool {
 // mergeSrc returns the segment's streaming-merge view minus drop.
 func (g *storeSegment) mergeSrc(drop map[DocID]analysis.Analyzed) mergeSource {
 	if g.frozen != nil {
-		return indexMergeSource{ix: g.frozen, drop: drop}
+		return indexMergeSource{g.frozen, drop}
 	}
-	return segmentMergeSource{r: g.r, drop: drop}
+	return segmentMergeSource{g.r, drop}
 }
 
 // Store is a disk-backed segmented index: a mutable in-memory
 // memtable absorbing writes, plus immutable sealed segments on disk,
 // scored together under collection-global statistics. It implements
-// Searcher and StatsSearcher with rankings bit-identical to a
-// monolithic Index over the same live documents, for any segment
-// layout:
+// Searcher with rankings bit-identical to a monolithic Index over the
+// same live documents, for any segment layout:
 //
 //   - planning folds per-segment document frequencies (minus
 //     tombstone corrections) into exact global stats, so the query
@@ -209,11 +208,6 @@ type Store struct {
 	stop chan struct{}
 	bg   sync.WaitGroup
 }
-
-var (
-	_ Searcher      = (*Store)(nil)
-	_ StatsSearcher = (*Store)(nil)
-)
 
 // NewStore creates or reopens a segment store rooted at dir. Existing
 // seg-*.seg files are opened (fully validated) and served; leftover
@@ -865,67 +859,34 @@ func (s *Store) EIRF(e kb.EntityID) float64 {
 	return irf(s.numDocsLocked(), df)
 }
 
-// scoreLocked runs one planned evaluation over every component. Each
-// component is scored with the shared scorePlanTopK code under the
-// segment's tombstone filter; per-component results merge with the
-// deterministic comparator. Live document sets are pairwise disjoint
-// (a document has exactly one non-tombstoned occurrence), so the
-// merge reproduces a monolithic evaluation exactly.
-func (s *Store) scoreLocked(plan queryPlan, k int, accept func(DocID) bool) ([]ScoredDoc, topkCounters) {
+// Search evaluates Eq. (1) for q over every live resource (see Query).
+// Each component — the memtable and every segment — is scored by the
+// shared kernel under the segment's tombstone filter, and the
+// per-component rankings merge with the deterministic comparator. Live
+// document sets are pairwise disjoint (a document has exactly one
+// non-tombstoned occurrence), so the merge reproduces a monolithic
+// evaluation exactly.
+func (s *Store) Search(q Query) []ScoredDoc {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	plan := q.plan(storeStats{s})
 	parts := make([][]ScoredDoc, 0, len(s.segs)+1)
-	var c topkCounters
-	out, pc := s.mem.scorePlanTopK(plan, k, accept)
-	c.add(pc)
+	out, c := scoreLists(planLists(s.mem, plan), q.K, q.Accept)
 	parts = append(parts, out)
 	for _, g := range s.segs {
-		view := g.planView(plan)
-		out, pc := view.scorePlanTopK(plan, k, g.acceptFilter(accept))
+		out, pc := scoreLists(g.lists(plan), q.K, g.acceptFilter(q.Accept))
 		c.add(pc)
 		parts = append(parts, out)
 	}
-	merged := mergeScored(parts)
-	if k > 0 && len(merged) > k {
-		merged = merged[:k]
-	}
-	return merged, c
-}
-
-func (s *Store) score(need analysis.Analyzed, alpha float64, st CollectionStats, k int, accept func(DocID) bool) []ScoredDoc {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if st == nil {
-		st = storeStats{s}
-	}
-	out, c := s.scoreLocked(planQuery(need, alpha, st), k, accept)
-	mQueries.Inc()
-	mPostings.Add(float64(c.postings))
-	mMatches.Add(float64(len(out)))
-	mPrunedDocs.Add(float64(c.pruned))
-	mBlocksSkipped.Add(float64(c.blocksSkipped))
+	out = truncate(mergeScored(parts), q.K)
+	c.record(len(out))
 	return out
 }
 
 // Score evaluates Eq. (1) for every live resource matching the need
 // (see Index.Score).
 func (s *Store) Score(need analysis.Analyzed, alpha float64) []ScoredDoc {
-	return s.score(need, alpha, nil, 0, nil)
-}
-
-// ScoreTopK is Score bounded to the k best-ranked documents under the
-// accept filter (see Searcher.ScoreTopK).
-func (s *Store) ScoreTopK(need analysis.Analyzed, alpha float64, k int, accept func(DocID) bool) []ScoredDoc {
-	return s.score(need, alpha, nil, k, accept)
-}
-
-// ScoreStats is Score with the query planned against an explicit
-// collection view (see Index.ScoreStats).
-func (s *Store) ScoreStats(need analysis.Analyzed, alpha float64, st CollectionStats) []ScoredDoc {
-	return s.score(need, alpha, st, 0, nil)
-}
-
-// ScoreStatsTopK is ScoreTopK under an explicit collection view.
-func (s *Store) ScoreStatsTopK(need analysis.Analyzed, alpha float64, st CollectionStats, k int, accept func(DocID) bool) []ScoredDoc {
-	return s.score(need, alpha, st, k, accept)
+	return s.Search(Query{Need: need, Alpha: alpha})
 }
 
 // WriteTo streams the live collection — memtable plus segments, minus

@@ -2,10 +2,8 @@ package index
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
 
@@ -23,34 +21,50 @@ import (
 
 // mergeSource is the read view of one index component for a streaming
 // merge: doc ids and dictionary entries in canonical order, posting
-// lists materialized one at a time with dropped documents already
-// filtered out.
+// lists materialized one at a time, and the set of dropped documents
+// the merge filters out.
 type mergeSource interface {
+	listSource
 	// liveDocs returns the component's non-dropped doc ids, ascending.
 	liveDocs() []int64
 	// termNames returns the dictionary in lexicographic order.
 	termNames() []string
-	// termPostings returns the term's live postings in ascending doc
-	// order (empty when every posting is dropped).
-	termPostings(t string) []termPosting
 	// entityIDs returns the entity dictionary in ascending id order.
 	entityIDs() []int64
-	// entityPostings returns the entity's live postings in ascending
-	// doc order.
-	entityPostings(e kb.EntityID) []entityPosting
+	// dropped reports whether d is tombstoned in this component.
+	dropped(d DocID) bool
+}
+
+// livePostings returns the postings of src's list in ascending doc
+// order, minus src's dropped documents (nil for a nil list).
+func livePostings(src mergeSource, l *postingList) []posting {
+	if l == nil {
+		return nil
+	}
+	ps := l.sorted()
+	kept := ps[:0]
+	for _, p := range ps {
+		if !src.dropped(p.doc) {
+			kept = append(kept, p)
+		}
+	}
+	return kept
+}
+
+// dropSet marks the tombstoned documents of a merge source; nil drops
+// nothing.
+type dropSet map[DocID]analysis.Analyzed
+
+func (s dropSet) dropped(d DocID) bool {
+	_, ok := s[d]
+	return ok
 }
 
 // indexMergeSource adapts an in-memory Index (a memtable or a frozen
-// segment awaiting its disk file) to mergeSource. drop marks
-// tombstoned documents to filter out; it may be nil.
+// segment awaiting its disk file) to mergeSource.
 type indexMergeSource struct {
-	ix   *Index
-	drop map[DocID]analysis.Analyzed
-}
-
-func (s indexMergeSource) dropped(d DocID) bool {
-	_, ok := s.drop[d]
-	return ok
+	ix *Index
+	dropSet
 }
 
 func (s indexMergeSource) liveDocs() []int64 {
@@ -73,23 +87,9 @@ func (s indexMergeSource) termNames() []string {
 	return out
 }
 
-func (s indexMergeSource) termPostings(t string) []termPosting {
-	l := s.ix.terms[t]
-	if l == nil {
-		return nil
-	}
-	ps := l.sorted()
-	if len(s.drop) == 0 {
-		return ps
-	}
-	kept := ps[:0]
-	for _, p := range ps {
-		if !s.dropped(p.doc) {
-			kept = append(kept, p)
-		}
-	}
-	return kept
-}
+func (s indexMergeSource) lookupTerm(t string) *postingList { return s.ix.lookupTerm(t) }
+
+func (s indexMergeSource) lookupEntity(e kb.EntityID) *postingList { return s.ix.lookupEntity(e) }
 
 func (s indexMergeSource) entityIDs() []int64 {
 	out := make([]int64, 0, len(s.ix.entities))
@@ -100,48 +100,12 @@ func (s indexMergeSource) entityIDs() []int64 {
 	return out
 }
 
-func (s indexMergeSource) entityPostings(e kb.EntityID) []entityPosting {
-	l := s.ix.entities[e]
-	if l == nil {
-		return nil
-	}
-	ps := l.sorted()
-	if len(s.drop) == 0 {
-		return ps
-	}
-	kept := ps[:0]
-	for _, p := range ps {
-		if !s.dropped(p.doc) {
-			kept = append(kept, p)
-		}
-	}
-	return kept
-}
-
-// writeTermListBody serializes one term list body — postings count,
-// block count, and the blocks with their skip entries — exactly as
+// writeListBody serializes one list body — postings count, block
+// count, and the blocks with their skip entries — exactly as
 // Index.WriteTo lays it out. l must be canonical (sealed, no tail).
-func writeTermListBody(cw *countWriter, l *termList) error {
-	writeUvarint(cw, uint64(l.count))
-	writeUvarint(cw, uint64(len(l.blocks)))
-	prevMax := DocID(0)
-	for i, bm := range l.blocks {
-		writeUvarint(cw, uint64(bm.n))
-		writeUvarint(cw, uint64(bm.maxDoc-prevMax))
-		writeUvarint(cw, uint64(bm.maxW))
-		data := l.data[bm.off:l.blockEnd(i)]
-		writeUvarint(cw, uint64(len(data)))
-		if _, err := cw.Write(data); err != nil {
-			return err
-		}
-		prevMax = bm.maxDoc
-	}
-	return cw.err
-}
-
-// writeEntityListBody is writeTermListBody for an entity list; block
-// bounds are float64 (8 bytes little endian) instead of uvarints.
-func writeEntityListBody(cw *countWriter, l *entityList) error {
+// Block bounds are uvarints for terms (the max tf) and float64s (8
+// bytes little endian) for entities.
+func writeListBody(cw *countWriter, l *postingList) error {
 	writeUvarint(cw, uint64(l.count))
 	writeUvarint(cw, uint64(len(l.blocks)))
 	prevMax := DocID(0)
@@ -149,15 +113,14 @@ func writeEntityListBody(cw *countWriter, l *entityList) error {
 	for i, bm := range l.blocks {
 		writeUvarint(cw, uint64(bm.n))
 		writeUvarint(cw, uint64(bm.maxDoc-prevMax))
-		binary.LittleEndian.PutUint64(f8[:], math.Float64bits(bm.maxW))
-		if _, err := cw.Write(f8[:]); err != nil {
-			return err
+		if l.entity {
+			cw.Write(appendFloat64(f8[:0], bm.maxW))
+		} else {
+			writeUvarint(cw, uint64(bm.maxW))
 		}
 		data := l.data[bm.off:l.blockEnd(i)]
 		writeUvarint(cw, uint64(len(data)))
-		if _, err := cw.Write(data); err != nil {
-			return err
-		}
+		cw.Write(data)
 		prevMax = bm.maxDoc
 	}
 	return cw.err
@@ -215,9 +178,9 @@ func writeMerged(w io.Writer, spill *os.File, srcs []mergeSource) (int64, error)
 
 	kept, err := spillSection(spill, len(terms), func(sw *countWriter, i int) (bool, error) {
 		t := terms[i]
-		var ps []termPosting
+		var ps []posting
 		for _, s := range srcs {
-			ps = append(ps, s.termPostings(t)...)
+			ps = append(ps, livePostings(s, s.lookupTerm(t))...)
 		}
 		if len(ps) == 0 {
 			return false, nil
@@ -226,7 +189,7 @@ func writeMerged(w io.Writer, spill *os.File, srcs []mergeSource) (int64, error)
 		if _, err := sw.Write([]byte(t)); err != nil {
 			return false, err
 		}
-		return true, writeTermListBody(sw, newTermList(ps))
+		return true, writeListBody(sw, newPostingList(false, ps))
 	})
 	if err != nil {
 		return cw.n, err
@@ -251,15 +214,15 @@ func writeMerged(w io.Writer, spill *os.File, srcs []mergeSource) (int64, error)
 
 	kept, err = spillSection(spill, len(ents), func(sw *countWriter, i int) (bool, error) {
 		e := kb.EntityID(ents[i])
-		var ps []entityPosting
+		var ps []posting
 		for _, s := range srcs {
-			ps = append(ps, s.entityPostings(e)...)
+			ps = append(ps, livePostings(s, s.lookupEntity(e))...)
 		}
 		if len(ps) == 0 {
 			return false, nil
 		}
 		writeUvarint(sw, uint64(ents[i]))
-		return true, writeEntityListBody(sw, newEntityList(ps))
+		return true, writeListBody(sw, newPostingList(true, ps))
 	})
 	if err != nil {
 		return cw.n, err

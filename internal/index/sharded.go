@@ -48,21 +48,19 @@ type shard struct {
 // byte-identical to a monolithic Index over the same documents, for
 // any shard count.
 //
-// Unlike Index, Sharded is safe for concurrent use: Add/Merge take a
-// per-shard write lock, queries take read locks. A Score overlapping
+// Unlike Index, Sharded is safe for concurrent use: Add/Remove take a
+// per-shard write lock, queries take read locks. A search overlapping
 // a mutation sees some consistent-per-shard interleaving of the two.
 // ApplyDelta is stronger: it holds the collection-wide write lock, so
-// queries running through the whole-collection entry points (Score,
-// ScoreTopK and their variants, Flatten/WriteTo) observe either the
-// entire delta or none of it — never a torn mix of plan statistics
-// and postings.
+// Search and WriteTo observe either the entire delta or none of it —
+// never a torn mix of plan statistics and postings.
 type Sharded struct {
 	// global orders whole-collection operations against deltas:
-	// ApplyDelta write-holds it, the Score entry points and
-	// Flatten/WriteTo read-hold it for their full duration, and the
-	// incremental mutators (Add/AddBatch/Merge) read-hold it so they
-	// keep running concurrently with each other as before. Lock order
-	// is always global before shard.
+	// ApplyDelta write-holds it, Search and WriteTo read-hold it for
+	// their full duration, and the incremental mutators
+	// (Add/AddBatch/Remove/Update) read-hold it so they keep running
+	// concurrently with each other. Lock order is always global
+	// before shard.
 	global  sync.RWMutex
 	shards  []*shard
 	workers int
@@ -94,19 +92,19 @@ func NewShardedFromIndex(ix *Index, n int) *Sharded {
 	for d := range ix.docs {
 		s.shards[s.shardFor(d)].ix.docs[d] = struct{}{}
 	}
-	for t, l := range ix.terms {
-		t := t
-		l.forEach(func(p termPosting) {
-			s.shards[s.shardFor(p.doc)].ix.termList(t).add(p)
-		})
-	}
-	for e, l := range ix.entities {
-		e := e
-		l.forEach(func(p entityPosting) {
-			s.shards[s.shardFor(p.doc)].ix.entityList(e).add(p)
-		})
-	}
+	routeLists(s, ix.terms, func(sh *Index) map[string]*postingList { return sh.terms })
+	routeLists(s, ix.entities, func(sh *Index) map[kb.EntityID]*postingList { return sh.entities })
 	return s
+}
+
+// routeLists adds every posting of src's lists to the list of the same
+// key in the posting's shard; lists picks that shard's list map.
+func routeLists[K comparable](s *Sharded, src map[K]*postingList, lists func(*Index) map[K]*postingList) {
+	for key, l := range src {
+		l.forEach(func(p posting) {
+			listFor(lists(s.shards[s.shardFor(p.doc)].ix), key, l.entity).add(p)
+		})
+	}
 }
 
 // NumShards returns the shard count.
@@ -189,10 +187,10 @@ func (d Delta) Empty() bool {
 }
 
 // ApplyDelta applies removes, updates and adds as one atomic step
-// under the collection-wide write lock: a concurrent query through the
-// Score entry points ranks against either the pre-delta or the
-// post-delta collection, never a mix. Per-shard locks are still taken
-// (the fine-grained stats readers do not hold the global lock).
+// under the collection-wide write lock: a concurrent Search ranks
+// against either the pre-delta or the post-delta collection, never a
+// mix. Per-shard locks are still taken (the fine-grained stats readers
+// do not hold the global lock).
 func (s *Sharded) ApplyDelta(d Delta) {
 	s.global.Lock()
 	defer s.global.Unlock()
@@ -245,54 +243,10 @@ func (s *Sharded) AddBatch(docs []Doc) {
 	wg.Wait()
 }
 
-// Merge folds another sharded index into this one. The document sets
-// must be disjoint (overlaps panic, as with Index.Merge). Equal shard
-// counts merge shard-pairwise — the hash routing is identical — while
-// differing counts re-route every posting individually.
-func (s *Sharded) Merge(other *Sharded) {
-	flat := (*Index)(nil)
-	if len(other.shards) != len(s.shards) {
-		flat = other.Flatten()
-	}
-	s.global.RLock()
-	defer s.global.RUnlock()
-	if flat != nil {
-		s.mergeIndex(flat)
-		return
-	}
-	for i, sh := range s.shards {
-		osh := other.shards[i]
-		sh.mu.Lock()
-		osh.mu.RLock()
-		sh.ix.Merge(osh.ix)
-		osh.mu.RUnlock()
-		sh.mu.Unlock()
-	}
-}
-
-// MergeIndex folds a monolithic index into this one, routing each
-// document to its shard. Document sets must be disjoint.
-func (s *Sharded) MergeIndex(other *Index) {
-	s.global.RLock()
-	defer s.global.RUnlock()
-	s.mergeIndex(other)
-}
-
-// mergeIndex is MergeIndex without the global lock; the caller holds
-// it.
-func (s *Sharded) mergeIndex(other *Index) {
-	routed := NewShardedFromIndex(other, len(s.shards))
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		sh.ix.Merge(routed.shards[i].ix)
-		sh.mu.Unlock()
-	}
-}
-
-// Flatten merges every shard into one monolithic Index (a copy; the
+// flatten merges every shard into one monolithic Index (a copy; the
 // shards are not aliased). It holds the collection-wide read lock, so
 // the copy is a consistent snapshot with respect to ApplyDelta.
-func (s *Sharded) Flatten() *Index {
+func (s *Sharded) flatten() *Index {
 	s.global.RLock()
 	defer s.global.RUnlock()
 	out := New()
@@ -308,7 +262,7 @@ func (s *Sharded) Flatten() *Index {
 // the segment the equivalent monolithic Index would write (the codec
 // sorts everything, so shard layout leaves no trace).
 func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
-	return s.Flatten().WriteTo(w)
+	return s.flatten().WriteTo(w)
 }
 
 // NumDocs returns the number of indexed resources across all shards.
@@ -374,108 +328,45 @@ func (s *Sharded) EIRF(e kb.EntityID) float64 {
 	return irf(s.NumDocs(), df)
 }
 
-// Score evaluates Eq. (1) like Index.Score, scoring shards
-// concurrently on the index's worker pool. Output is byte-identical
-// to the monolithic index over the same documents.
-func (s *Sharded) Score(need analysis.Analyzed, alpha float64) []ScoredDoc {
-	return s.ScoreWorkers(need, alpha, 0)
-}
-
-// ScoreStats is Index.ScoreStats for the sharded index (pool-default
-// worker bound), satisfying StatsSearcher.
-func (s *Sharded) ScoreStats(need analysis.Analyzed, alpha float64, st CollectionStats) []ScoredDoc {
-	return s.ScoreStatsWorkers(need, alpha, st, 0)
-}
-
-// ScoreWorkers is Score with an explicit worker bound: 0 selects the
-// pool default (min(shards, GOMAXPROCS at construction)), 1 scores
-// shards sequentially, higher values allow up to that many concurrent
-// shard scorers (never more than one per shard).
-func (s *Sharded) ScoreWorkers(need analysis.Analyzed, alpha float64, workers int) []ScoredDoc {
-	return s.ScoreStatsWorkers(need, alpha, s, workers)
-}
-
-// ScoreStatsWorkers is ScoreWorkers with the query planned against an
-// explicit collection view (see Index.ScoreStats): the scatter layer
-// plans against cross-process global statistics while each shard
-// process scores only its own slice.
-func (s *Sharded) ScoreStatsWorkers(need analysis.Analyzed, alpha float64, st CollectionStats, workers int) []ScoredDoc {
+// Search evaluates Eq. (1) for q (see Query): the query is planned
+// once against global statistics, every live shard runs the kernel to
+// its local top k on the worker pool, and the per-shard prefixes k-way
+// merge under scoredLess into the global prefix. A document in the
+// global top k is necessarily in its own shard's top k, and each
+// document's addition chain never depends on the shard it lives in, so
+// the ranking is byte-identical to the monolithic Index over the same
+// documents, for any shard count.
+func (s *Sharded) Search(q Query) []ScoredDoc {
 	s.global.RLock()
 	defer s.global.RUnlock()
-	plan := planQuery(need, alpha, st)
-	live := s.liveShards(plan)
-
-	partials := make([][]ScoredDoc, len(live))
-	counts := make([]int, len(live))
-	s.forEachLiveShard(live, workers, func(pos, i int) {
-		partials[pos], counts[pos] = s.scoreShard(i, plan)
-	})
-
-	out := mergeScored(partials)
-	postings := 0
-	for _, c := range counts {
-		postings += c
-	}
-	mQueries.Inc()
-	mPostings.Add(float64(postings))
-	mMatches.Add(float64(len(out)))
-	return out
-}
-
-// ScoreTopK is Index.ScoreTopK for the sharded index: each live shard
-// runs its own pruned evaluation to a local top k, and the per-shard
-// prefixes k-way merge under scoredLess into the global prefix — a
-// document in the global top k is necessarily in its own shard's top
-// k, so the merged-and-truncated ranking is byte-identical to the
-// monolithic pruned (and hence exhaustive) ranking.
-func (s *Sharded) ScoreTopK(need analysis.Analyzed, alpha float64, k int, accept func(DocID) bool) []ScoredDoc {
-	return s.ScoreStatsTopKWorkers(need, alpha, s, 0, k, accept)
-}
-
-// ScoreTopKWorkers is ScoreTopK with the ScoreWorkers worker bound.
-func (s *Sharded) ScoreTopKWorkers(need analysis.Analyzed, alpha float64, workers, k int, accept func(DocID) bool) []ScoredDoc {
-	return s.ScoreStatsTopKWorkers(need, alpha, s, workers, k, accept)
-}
-
-// ScoreStatsTopK is ScoreTopK with the query planned against an
-// explicit collection view, satisfying StatsSearcher.
-func (s *Sharded) ScoreStatsTopK(need analysis.Analyzed, alpha float64, st CollectionStats, k int, accept func(DocID) bool) []ScoredDoc {
-	return s.ScoreStatsTopKWorkers(need, alpha, st, 0, k, accept)
-}
-
-// ScoreStatsTopKWorkers combines the explicit collection view, the
-// worker bound, and the top-k limit.
-func (s *Sharded) ScoreStatsTopKWorkers(need analysis.Analyzed, alpha float64, st CollectionStats, workers, k int, accept func(DocID) bool) []ScoredDoc {
-	s.global.RLock()
-	defer s.global.RUnlock()
-	plan := planQuery(need, alpha, st)
+	plan := q.plan(s)
 	live := s.liveShards(plan)
 
 	partials := make([][]ScoredDoc, len(live))
 	counters := make([]topkCounters, len(live))
-	s.forEachLiveShard(live, workers, func(pos, i int) {
+	s.forEachLiveShard(live, func(pos, i int) {
 		t0 := time.Now()
 		sh := s.shards[i]
 		sh.mu.RLock()
-		partials[pos], counters[pos] = sh.ix.scorePlanTopK(plan, k, accept)
+		partials[pos], counters[pos] = scoreLists(planLists(sh.ix, plan), q.K, q.Accept)
 		sh.mu.RUnlock()
 		mShardScoreSeconds.With(strconv.Itoa(i)).ObserveSince(t0)
 	})
 
-	out := mergeScored(partials)
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
+	out := truncate(mergeScored(partials), q.K)
 	var c topkCounters
 	for _, ci := range counters {
 		c.add(ci)
 	}
-	mQueries.Inc()
-	mPostings.Add(float64(c.postings))
-	mMatches.Add(float64(len(out)))
-	mPrunedDocs.Add(float64(c.pruned))
-	mBlocksSkipped.Add(float64(c.blocksSkipped))
+	c.record(len(out))
 	return out
+}
+
+// Score evaluates Eq. (1) like Index.Score, scoring shards
+// concurrently on the index's worker pool. Output is byte-identical
+// to the monolithic index over the same documents.
+func (s *Sharded) Score(need analysis.Analyzed, alpha float64) []ScoredDoc {
+	return s.Search(Query{Need: need, Alpha: alpha})
 }
 
 // liveShards returns the shards holding at least one posting of some
@@ -487,21 +378,7 @@ func (s *Sharded) liveShards(plan queryPlan) []int {
 	live := make([]int, 0, len(s.shards))
 	for i, sh := range s.shards {
 		sh.mu.RLock()
-		hit := false
-		for _, pt := range plan.terms {
-			if l := sh.ix.terms[pt.term]; l != nil && l.count > 0 {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			for _, pe := range plan.entities {
-				if l := sh.ix.entities[pe.e]; l != nil && l.count > 0 {
-					hit = true
-					break
-				}
-			}
-		}
+		hit := len(planLists(sh.ix, plan)) > 0
 		sh.mu.RUnlock()
 		if hit {
 			live = append(live, i)
@@ -510,16 +387,10 @@ func (s *Sharded) liveShards(plan queryPlan) []int {
 	return live
 }
 
-// forEachLiveShard runs fn(pos, shard) for every live shard on at most
-// workers concurrent goroutines; workers <= 0 selects the pool default
-// and the bound never exceeds the number of live shards.
-func (s *Sharded) forEachLiveShard(live []int, workers int, fn func(pos, shard int)) {
-	if workers <= 0 {
-		workers = s.workers
-	}
-	if workers > len(live) {
-		workers = len(live)
-	}
+// forEachLiveShard runs fn(pos, shard) for every live shard on the
+// worker pool; the pool never exceeds the number of live shards.
+func (s *Sharded) forEachLiveShard(live []int, fn func(pos, shard int)) {
+	workers := min(s.workers, len(live))
 	if workers <= 1 {
 		for pos, i := range live {
 			fn(pos, i)
@@ -542,16 +413,6 @@ func (s *Sharded) forEachLiveShard(live []int, workers int, fn func(pos, shard i
 		}()
 	}
 	wg.Wait()
-}
-
-func (s *Sharded) scoreShard(i int, plan queryPlan) ([]ScoredDoc, int) {
-	t0 := time.Now()
-	sh := s.shards[i]
-	sh.mu.RLock()
-	out, postings := sh.ix.scorePlan(plan)
-	sh.mu.RUnlock()
-	mShardScoreSeconds.With(strconv.Itoa(i)).ObserveSince(t0)
-	return out, postings
 }
 
 // mergeScored k-way merges per-shard rankings that are each already

@@ -122,7 +122,7 @@ func TestShardedScoreEquivalence(t *testing.T) {
 			sh.AddBatch(docs)
 			for _, alpha := range alphas {
 				for qi, need := range needs {
-					want := flat.Score(need, alpha)
+					want := exhaustiveTopK(flat, need, alpha, 0, nil)
 					got := sh.Score(need, alpha)
 					assertScoredBitIdentical(t,
 						fmt.Sprintf("seed=%d shards=%d alpha=%v need=%d", seed, n, alpha, qi),
@@ -156,14 +156,20 @@ func TestScoreByteIdenticalAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestScoreWorkersAnyBoundSameRanking checks that the size of the
+// shard worker pool never changes a ranking, exhaustive or bounded.
 func TestScoreWorkersAnyBoundSameRanking(t *testing.T) {
 	docs := randomDocs(3, 250, 0)
 	sh := NewSharded(8)
 	sh.AddBatch(docs)
 	need := randomNeed(rand.New(rand.NewSource(9)))
-	base := sh.ScoreWorkers(need, 0.6, 1)
-	for _, workers := range []int{0, 2, 8, 64} {
-		assertScoredBitIdentical(t, fmt.Sprintf("workers=%d", workers), base, sh.ScoreWorkers(need, 0.6, workers))
+	for _, k := range []int{0, 5} {
+		q := Query{Need: need, Alpha: 0.6, K: k}
+		want := oracle(flatFromDocs(docs), q)
+		for _, workers := range []int{1, 2, 8, 64} {
+			sh.workers = workers
+			assertScoredBitIdentical(t, fmt.Sprintf("k=%d workers=%d", k, workers), want, sh.Search(q))
+		}
 	}
 }
 
@@ -213,9 +219,9 @@ func TestNewShardedFromIndexEquivalence(t *testing.T) {
 		t.Fatalf("NumDocs: %d vs %d", flat.NumDocs(), sh.NumDocs())
 	}
 	need := randomNeed(rand.New(rand.NewSource(5)))
-	assertScoredBitIdentical(t, "from-index", flat.Score(need, 0.6), sh.Score(need, 0.6))
+	assertScoredBitIdentical(t, "from-index", exhaustiveTopK(flat, need, 0.6, 0, nil), sh.Score(need, 0.6))
 
-	// Flatten/WriteTo must reproduce the exact segment the monolithic
+	// WriteTo must reproduce the exact segment the monolithic
 	// index writes: the shard layout leaves no trace on disk.
 	var a, b bytes.Buffer
 	if _, err := flat.WriteTo(&a); err != nil {
@@ -227,45 +233,6 @@ func TestNewShardedFromIndexEquivalence(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("sharded segment differs from monolithic segment")
 	}
-}
-
-func TestShardedMergeEqualAndUnequalCounts(t *testing.T) {
-	docsA := randomDocs(21, 120, 0)
-	docsB := randomDocs(22, 120, 1000)
-	flat := flatFromDocs(append(append([]Doc(nil), docsA...), docsB...))
-	need := randomNeed(rand.New(rand.NewSource(2)))
-
-	// Equal shard counts: pairwise merge.
-	a4 := NewSharded(4)
-	a4.AddBatch(docsA)
-	b4 := NewSharded(4)
-	b4.AddBatch(docsB)
-	a4.Merge(b4)
-	assertScoredBitIdentical(t, "equal-counts", flat.Score(need, 0.6), a4.Score(need, 0.6))
-
-	// Unequal shard counts: per-posting re-routing.
-	a3 := NewSharded(3)
-	a3.AddBatch(docsA)
-	b5 := NewSharded(5)
-	b5.AddBatch(docsB)
-	a3.Merge(b5)
-	if a3.NumShards() != 3 {
-		t.Fatalf("merge changed shard count to %d", a3.NumShards())
-	}
-	assertScoredBitIdentical(t, "unequal-counts", flat.Score(need, 0.6), a3.Score(need, 0.6))
-}
-
-func TestShardedMergeOverlapPanics(t *testing.T) {
-	doc := analysis.Analyzed{Terms: map[string]int{"x": 1}}
-	a, b := NewSharded(3), NewSharded(3)
-	a.Add(1, doc)
-	b.Add(1, doc)
-	defer func() {
-		if recover() == nil {
-			t.Error("overlapping sharded merge did not panic")
-		}
-	}()
-	a.Merge(b)
 }
 
 func TestShardedAddDuplicatePanics(t *testing.T) {
@@ -280,11 +247,11 @@ func TestShardedAddDuplicatePanics(t *testing.T) {
 	sh.Add(7, doc)
 }
 
-// TestShardedConcurrentScoreAddMerge hammers a sharded index with
-// concurrent queries, stat reads, Adds and Merges. Run under -race it
-// pins the locking discipline; results are only sanity-checked (the
-// doc set is mutating underneath the queries).
-func TestShardedConcurrentScoreAddMerge(t *testing.T) {
+// TestShardedConcurrentSearchAndMutation hammers a sharded index with
+// concurrent queries, stat reads, Adds, AddBatches and deltas. Run
+// under -race it pins the locking discipline; results are only
+// sanity-checked (the doc set is mutating underneath the queries).
+func TestShardedConcurrentSearchAndMutation(t *testing.T) {
 	sh := NewSharded(4)
 	sh.AddBatch(randomDocs(31, 150, 0))
 	need := randomNeed(rand.New(rand.NewSource(8)))
@@ -301,7 +268,7 @@ func TestShardedConcurrentScoreAddMerge(t *testing.T) {
 					return
 				default:
 				}
-				got := sh.ScoreWorkers(need, 0.6, 1+g%3)
+				got := sh.Search(Query{Need: need, Alpha: 0.6, K: 5 * (g % 2)})
 				for j := 1; j < len(got); j++ {
 					if scoredLess(got[j], got[j-1]) {
 						t.Errorf("ranking out of order at %d", j)
@@ -328,18 +295,16 @@ func TestShardedConcurrentScoreAddMerge(t *testing.T) {
 	go func() {
 		defer writers.Done()
 		for i := 0; i < 10; i++ {
-			other := NewSharded(4)
-			other.AddBatch(randomDocs(int64(40+i), 20, 20_000+1000*i))
-			sh.Merge(other)
+			sh.AddBatch(randomDocs(int64(40+i), 20, 20_000+1000*i))
 		}
 	}()
 	writers.Add(1)
 	go func() {
 		defer writers.Done()
 		for i := 0; i < 5; i++ {
-			other := NewSharded(3) // unequal count: exercises Flatten+MergeIndex
-			other.AddBatch(randomDocs(int64(60+i), 20, 40_000+1000*i))
-			sh.Merge(other)
+			batch := randomDocs(int64(60+i), 20, 40_000+1000*i)
+			sh.ApplyDelta(Delta{Adds: batch})
+			sh.ApplyDelta(Delta{Removes: batch[:10]})
 		}
 	}()
 

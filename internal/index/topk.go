@@ -4,14 +4,15 @@ import (
 	"math"
 	"sort"
 
-	"expertfind/internal/analysis"
+	"expertfind/internal/kb"
 	"expertfind/internal/telemetry"
 )
 
-// MaxScore-style top-k pruning (term-at-a-time). The accumulator walks
-// the planned lists in plan order — exactly the order exhaustive
-// scoring uses, so every surviving document's float64 addition chain is
-// identical to the exhaustive one — and maintains θ, the k-th largest
+// The one accumulation kernel behind every Search, with MaxScore-style
+// top-k pruning (term-at-a-time). The accumulator walks the planned
+// lists in plan order, so every document's float64 addition chain is
+// the same whatever k, accept filter or partition (shard, segment) it
+// is scored under. With k > 0 it maintains θ, the k-th largest
 // current partial score. A document whose partial score plus the sum
 // of the remaining lists' upper bounds provably stays below θ can never
 // enter the top k and is dropped; a document first seen when the
@@ -45,7 +46,7 @@ var (
 // proofs sound while costing essentially no pruning power.
 const boundSlack = 1 + 1e-9
 
-// topkCounters aggregates one pruned evaluation's work accounting.
+// topkCounters aggregates one evaluation's work accounting.
 type topkCounters struct {
 	postings      int // postings actually decoded and accumulated
 	pruned        int // accumulator entries dropped by bound proof
@@ -58,13 +59,23 @@ func (c *topkCounters) add(o topkCounters) {
 	c.blocksSkipped += o.blocksSkipped
 }
 
-// topkAcc is the accumulator state of one pruned evaluation.
+// record publishes one search's work accounting to the index metrics.
+func (c topkCounters) record(matches int) {
+	mQueries.Inc()
+	mPostings.Add(float64(c.postings))
+	mMatches.Add(float64(matches))
+	mPrunedDocs.Add(float64(c.pruned))
+	mBlocksSkipped.Add(float64(c.blocksSkipped))
+}
+
+// topkAcc is the accumulator state of one evaluation.
 type topkAcc struct {
 	k      int
 	accept func(DocID) bool
 	scores map[DocID]float64
 	// dead holds documents dropped by a bound proof, so a later list
-	// can never resurrect one with a partial (wrong) score.
+	// can never resurrect one with a partial (wrong) score. Allocated
+	// on the first prune; an exhaustive evaluation never needs it.
 	dead    map[DocID]struct{}
 	theta   float64   // k-th largest current partial; -Inf until k exist
 	scratch []float64 // size-k min-heap reused across settle calls
@@ -76,7 +87,6 @@ func newTopkAcc(k int, accept func(DocID) bool) *topkAcc {
 		k:      k,
 		accept: accept,
 		scores: make(map[DocID]float64),
-		dead:   make(map[DocID]struct{}),
 		theta:  math.Inf(-1),
 	}
 	if k > 0 {
@@ -127,6 +137,9 @@ func (a *topkAcc) settle(remNext float64) {
 	for d, v := range a.scores {
 		if (v+remNext)*boundSlack < a.theta {
 			delete(a.scores, d)
+			if a.dead == nil {
+				a.dead = make(map[DocID]struct{})
+			}
 			a.dead[d] = struct{}{}
 			a.pruned++
 		}
@@ -197,9 +210,9 @@ func docsInRange(snap []DocID, lo int64, hi DocID) bool {
 	return i < len(snap) && snap[i] <= hi
 }
 
-// walkTermList feeds one planned term list into the accumulator.
-// remNext is the summed upper bound of every list after this one.
-func (a *topkAcc) walkTermList(l *termList, w, remNext float64) {
+// walk feeds one planned list into the accumulator. remNext is the
+// summed upper bound of every list after this one.
+func (a *topkAcc) walk(l *postingList, w, remNext float64) {
 	listAdmit := a.admits(l.maxW*w + remNext)
 	// Block-level admission refinement is sound only once admission is
 	// closed for every later list (remNext below θ): a document turned
@@ -224,121 +237,91 @@ func (a *topkAcc) walkTermList(l *termList, w, remNext float64) {
 				continue
 			}
 		}
-		prev, pos := base, bm.off
-		for j := 0; j < bm.n; j++ {
-			delta, n := uvarintAt(l.data, pos)
-			pos += n
-			tf, n := uvarintAt(l.data, pos)
-			pos += n
-			prev += DocID(delta)
-			a.visit(prev, float64(tf)*w, admit)
-		}
+		a.decode(l.data, bm.off, bm.n, base, true, l.entity, w, admit)
 		base = bm.maxDoc
 		lo = int64(bm.maxDoc)
 	}
-	for _, p := range l.tail {
-		a.visit(p.doc, float64(p.tf)*w, listAdmit)
-	}
+	a.decode(l.tail, 0, l.tailN, 0, false, l.entity, w, listAdmit)
 }
 
-// walkEntityList is walkTermList for an entity list. The contribution
-// is computed exactly as the exhaustive path does — float64(ef)·w·we,
-// left associated — so surviving chains stay byte-identical.
-func (a *topkAcc) walkEntityList(l *entityList, w, remNext float64) {
-	listAdmit := a.admits(l.maxW*w + remNext)
-	refine := listAdmit && !a.admits(remNext)
-	var snap []DocID
-	snapped := false
-	base := DocID(0)
-	lo := int64(-1)
-	for _, bm := range l.blocks {
-		admit := listAdmit
-		if !listAdmit || (refine && !a.admits(bm.maxW*w+remNext)) {
-			admit = false
-			if !snapped {
-				snap, snapped = a.liveDocsSorted(), true
-			}
-			if !docsInRange(snap, lo, bm.maxDoc) {
-				a.blocksSkipped++
-				base = bm.maxDoc
-				lo = int64(bm.maxDoc)
-				continue
-			}
+// decode accumulates n postings laid out from data[pos:], doc ids
+// delta-encoded from base (a sealed block) or absolute (the tail). The
+// contribution is computed exactly as Eq. (1) reads — float64(tf)·w,
+// or float64(ef)·w·we left associated — so every chain is the same on
+// every path.
+func (a *topkAcc) decode(data []byte, pos, n int, base DocID, delta, entity bool, w float64, admit bool) {
+	doc := base
+	for j := 0; j < n; j++ {
+		d, sz := uvarintAt(data, pos)
+		pos += sz
+		f, sz := uvarintAt(data, pos)
+		pos += sz
+		if delta {
+			doc += DocID(d)
+		} else {
+			doc = DocID(d)
 		}
-		prev, pos := base, bm.off
-		for j := 0; j < bm.n; j++ {
-			delta, n := uvarintAt(l.data, pos)
-			pos += n
-			ef, n := uvarintAt(l.data, pos)
-			pos += n
-			dScore := float64FromBytes(l.data[pos:])
-			pos += 8
-			prev += DocID(delta)
+		c := float64(f) * w
+		if entity {
+			// Eq. 2: we(e,r) = 1 + dScore when the entity was
+			// recognized with positive confidence.
 			we := 0.0
-			if dScore > 0 {
+			if dScore := float64FromBytes(data[pos:]); dScore > 0 {
 				we = 1 + dScore
 			}
-			a.visit(prev, float64(ef)*w*we, admit)
+			pos += 8
+			c *= we
 		}
-		base = bm.maxDoc
-		lo = int64(bm.maxDoc)
-	}
-	for _, p := range l.tailE {
-		we := 0.0
-		if p.dScore > 0 {
-			we = 1 + p.dScore
-		}
-		a.visit(p.doc, float64(p.ef)*w*we, listAdmit)
+		a.visit(doc, c, admit)
 	}
 }
 
-// scorePlanTopK is scorePlan with MaxScore pruning: positive matches
-// under the accept filter, ordered by scoredLess, truncated to k.
-// k <= 0 disables both the bound and the pruning (θ never activates),
-// reducing to an exhaustive accept-filtered evaluation.
-func (ix *Index) scorePlanTopK(plan queryPlan, k int, accept func(DocID) bool) ([]ScoredDoc, topkCounters) {
-	type boundedTerm struct {
-		l *termList
-		w float64
-	}
-	type boundedEnt struct {
-		l *entityList
-		w float64
-	}
-	terms := make([]boundedTerm, 0, len(plan.terms))
-	ents := make([]boundedEnt, 0, len(plan.entities))
+// plannedList is one planned dimension resolved against one index
+// component: its posting list and its collection weight.
+type plannedList struct {
+	l *postingList
+	w float64
+}
+
+// listSource looks posting lists up by key, nil when absent: an
+// in-memory Index or a segment file.
+type listSource interface {
+	lookupTerm(t string) *postingList
+	lookupEntity(e kb.EntityID) *postingList
+}
+
+// planLists resolves a plan against src's posting lists, in plan order
+// (terms, then entities), skipping dimensions without postings.
+func planLists(src listSource, plan queryPlan) []plannedList {
+	out := make([]plannedList, 0, len(plan.terms)+len(plan.entities))
 	for _, pt := range plan.terms {
-		if l := ix.terms[pt.term]; l != nil && l.count > 0 {
-			terms = append(terms, boundedTerm{l: l, w: pt.w})
+		if l := src.lookupTerm(pt.term); l != nil && l.count > 0 {
+			out = append(out, plannedList{l: l, w: pt.w})
 		}
 	}
 	for _, pe := range plan.entities {
-		if l := ix.entities[pe.e]; l != nil && l.count > 0 {
-			ents = append(ents, boundedEnt{l: l, w: pe.w})
+		if l := src.lookupEntity(pe.e); l != nil && l.count > 0 {
+			out = append(out, plannedList{l: l, w: pe.w})
 		}
 	}
+	return out
+}
 
-	// suffix[i] bounds the total contribution of lists i.. (terms
-	// first, then entities — plan order).
-	nLists := len(terms) + len(ents)
-	suffix := make([]float64, nLists+1)
-	for i := len(ents) - 1; i >= 0; i-- {
-		j := len(terms) + i
-		suffix[j] = suffix[j+1] + ents[i].l.maxW*ents[i].w
-	}
-	for i := len(terms) - 1; i >= 0; i-- {
-		suffix[i] = suffix[i+1] + terms[i].l.maxW*terms[i].w
+// scoreLists is the accumulation kernel: the positive matches of the
+// planned lists under the accept filter, ordered by scoredLess and
+// truncated to k. k <= 0 disables both the bound and the pruning (θ
+// never activates), reducing to an exhaustive evaluation.
+func scoreLists(lists []plannedList, k int, accept func(DocID) bool) ([]ScoredDoc, topkCounters) {
+	// suffix[i] bounds the total contribution of lists i...
+	suffix := make([]float64, len(lists)+1)
+	for i := len(lists) - 1; i >= 0; i-- {
+		suffix[i] = suffix[i+1] + lists[i].l.maxW*lists[i].w
 	}
 
 	a := newTopkAcc(k, accept)
-	for i, bt := range terms {
-		a.walkTermList(bt.l, bt.w, suffix[i+1])
+	for i, pl := range lists {
+		a.walk(pl.l, pl.w, suffix[i+1])
 		a.settle(suffix[i+1])
-	}
-	for i, be := range ents {
-		j := len(terms) + i
-		a.walkEntityList(be.l, be.w, suffix[j+1])
-		a.settle(suffix[j+1])
 	}
 
 	out := make([]ScoredDoc, 0, len(a.scores))
@@ -348,10 +331,15 @@ func (ix *Index) scorePlanTopK(plan queryPlan, k int, accept func(DocID) bool) (
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return scoredLess(out[i], out[j]) })
+	return truncate(out, k), a.topkCounters
+}
+
+// truncate bounds a ranking to its first k entries; k <= 0 keeps all.
+func truncate(out []ScoredDoc, k int) []ScoredDoc {
 	if k > 0 && len(out) > k {
-		out = out[:k]
+		return out[:k]
 	}
-	return out, a.topkCounters
+	return out
 }
 
 // uvarintAt decodes a uvarint at data[pos:].
@@ -374,22 +362,4 @@ func uvarintSlow(b []byte) (uint64, int) {
 		v |= uint64(c&0x7f) << s
 	}
 	return 0, 0
-}
-
-// ScoreTopK evaluates Score bounded to the k best-ranked documents
-// (see Searcher.ScoreTopK for the contract).
-func (ix *Index) ScoreTopK(need analysis.Analyzed, alpha float64, k int, accept func(DocID) bool) []ScoredDoc {
-	return ix.ScoreStatsTopK(need, alpha, ix, k, accept)
-}
-
-// ScoreStatsTopK is ScoreTopK with the query planned against an
-// explicit collection view (see ScoreStats).
-func (ix *Index) ScoreStatsTopK(need analysis.Analyzed, alpha float64, st CollectionStats, k int, accept func(DocID) bool) []ScoredDoc {
-	out, c := ix.scorePlanTopK(planQuery(need, alpha, st), k, accept)
-	mQueries.Inc()
-	mPostings.Add(float64(c.postings))
-	mMatches.Add(float64(len(out)))
-	mPrunedDocs.Add(float64(c.pruned))
-	mBlocksSkipped.Add(float64(c.blocksSkipped))
-	return out
 }

@@ -16,53 +16,14 @@ import (
 // For every (corpus, need, α, k, accept filter, shard count, driver),
 // the pruned evaluation must return exactly the exhaustive ranking —
 // filtered by accept, truncated to k — bit for bit. The exhaustive
-// reference is the monolithic Score path, which the PR 3 harness
-// already proves byte-identical across shard counts.
+// reference is the test-only scorer scorePlan (oracle_test.go).
 // ---------------------------------------------------------------------
 
-// exhaustiveTopK is the reference ranking: exhaustive Score, filtered
-// by accept, truncated to k (k <= 0 keeps everything).
+// exhaustiveTopK is the reference ranking: the reference scorer's
+// exhaustive ranking, filtered by accept, truncated to k (k <= 0 keeps
+// everything).
 func exhaustiveTopK(ix *Index, need analysis.Analyzed, alpha float64, k int, accept func(DocID) bool) []ScoredDoc {
-	full := ix.Score(need, alpha)
-	out := full[:0:0]
-	for _, sd := range full {
-		if accept == nil || accept(sd.Doc) {
-			out = append(out, sd)
-		}
-	}
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
-// scatterTopK simulates the scatter-gather path at the index layer:
-// one monolithic index per shard process, each scoring its slice under
-// global collection statistics to its local top k, merged and
-// truncated by the coordinator.
-func scatterTopK(shardIxs []*Index, global CollectionStats, need analysis.Analyzed, alpha float64, k int, accept func(DocID) bool) []ScoredDoc {
-	lists := make([][]ScoredDoc, len(shardIxs))
-	for i, six := range shardIxs {
-		lists[i] = six.ScoreStatsTopK(need, alpha, global, k, accept)
-	}
-	out := mergeScored(lists)
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
-}
-
-// splitByRoute partitions docs into n monolithic per-shard indexes the
-// way the scatter topology does.
-func splitByRoute(docs []Doc, n int) []*Index {
-	out := make([]*Index, n)
-	for i := range out {
-		out[i] = New()
-	}
-	for _, d := range docs {
-		out[ShardRoute(d.ID, n)].Add(d.ID, d.A)
-	}
-	return out
+	return oracle(ix, Query{Need: need, Alpha: alpha, K: k, Accept: accept})
 }
 
 var topkShardCounts = []int{1, 2, 3, 7}
@@ -103,15 +64,13 @@ func TestTopKDifferential(t *testing.T) {
 							want := exhaustiveTopK(flat, need, alpha, k, accept)
 							label := fmt.Sprintf("q%d a%g k%d accept%d", q, alpha, k, ai)
 
-							got := flat.ScoreTopK(need, alpha, k, accept)
-							assertScoredBitIdentical(t, label+" monolith", want, got)
+							q := Query{Need: need, Alpha: alpha, K: k, Accept: accept}
+							assertScoredBitIdentical(t, label+" monolith", want, flat.Search(q))
 
 							for i, n := range topkShardCounts {
-								sg := shardeds[i].ScoreTopK(need, alpha, k, accept)
+								sg := shardeds[i].Search(q)
 								assertScoredBitIdentical(t, fmt.Sprintf("%s sharded%d", label, n), want, sg)
-								sw := shardeds[i].ScoreTopKWorkers(need, alpha, 1, k, accept)
-								assertScoredBitIdentical(t, fmt.Sprintf("%s sharded%d seq", label, n), want, sw)
-								sc := scatterTopK(scatters[i], flat, need, alpha, k, accept)
+								sc := scatterSearch(scatters[i], flat, q)
 								assertScoredBitIdentical(t, fmt.Sprintf("%s scatter%d", label, n), want, sc)
 							}
 						}
@@ -138,11 +97,11 @@ func TestTopKDifferentialLargeCorpus(t *testing.T) {
 		for _, alpha := range []float64{0, 0.6, 1} {
 			for _, k := range []int{1, 5, 10, 50} {
 				want := exhaustiveTopK(flat, need, alpha, k, nil)
-				out, c := flat.scorePlanTopK(planQuery(need, alpha, flat), k, nil)
+				out, c := scoreLists(planLists(flat, planQuery(need, alpha, flat)), k, nil)
 				assertScoredBitIdentical(t, fmt.Sprintf("q%d a%g k%d", q, alpha, k), want, out)
 				pruned += c.pruned
 				assertScoredBitIdentical(t, fmt.Sprintf("q%d a%g k%d sharded", q, alpha, k),
-					want, sharded.ScoreTopK(need, alpha, k, nil))
+					want, sharded.Search(Query{Need: need, Alpha: alpha, K: k}))
 			}
 		}
 	}
@@ -173,7 +132,7 @@ func TestTopKBlockSkipping(t *testing.T) {
 	need := analysis.Analyzed{Terms: map[string]int{"aaarare": 1, "zcommon": 1}}
 
 	want := exhaustiveTopK(ix, need, 1, 10, nil)
-	out, c := ix.scorePlanTopK(planQuery(need, 1, ix), 10, nil)
+	out, c := scoreLists(planLists(ix, planQuery(need, 1, ix)), 10, nil)
 	assertScoredBitIdentical(t, "block skipping", want, out)
 	if c.blocksSkipped == 0 {
 		t.Errorf("no blocks skipped on the crafted corpus (pruned=%d postings=%d)", c.pruned, c.postings)
@@ -181,7 +140,7 @@ func TestTopKBlockSkipping(t *testing.T) {
 
 	sharded := NewSharded(3)
 	sharded.AddBatch(docs)
-	assertScoredBitIdentical(t, "block skipping sharded", want, sharded.ScoreTopK(need, 1, 10, nil))
+	assertScoredBitIdentical(t, "block skipping sharded", want, sharded.Search(Query{Need: need, Alpha: 1, K: 10}))
 }
 
 // TestTopKAdversarial covers the boundary cases the grid can miss.
@@ -207,8 +166,8 @@ func TestTopKAdversarial(t *testing.T) {
 		sharded.AddBatch(docs)
 		for _, k := range []int{1, 5, 299, 300, 301} {
 			want := exhaustiveTopK(ix, need, 0.6, k, nil)
-			assertScoredBitIdentical(t, fmt.Sprintf("ties k%d", k), want, ix.ScoreTopK(need, 0.6, k, nil))
-			assertScoredBitIdentical(t, fmt.Sprintf("ties k%d sharded", k), want, sharded.ScoreTopK(need, 0.6, k, nil))
+			assertScoredBitIdentical(t, fmt.Sprintf("ties k%d", k), want, ix.Search(Query{Need: need, Alpha: 0.6, K: k}))
+			assertScoredBitIdentical(t, fmt.Sprintf("ties k%d sharded", k), want, sharded.Search(Query{Need: need, Alpha: 0.6, K: k}))
 		}
 	})
 
@@ -218,7 +177,7 @@ func TestTopKAdversarial(t *testing.T) {
 		r := rand.New(rand.NewSource(22))
 		need := randomNeed(r)
 		want := exhaustiveTopK(flat, need, 0.6, 0, nil)
-		assertScoredBitIdentical(t, "k>docs", want, flat.ScoreTopK(need, 0.6, len(docs)+50, nil))
+		assertScoredBitIdentical(t, "k>docs", want, flat.Search(Query{Need: need, Alpha: 0.6, K: len(docs) + 50}))
 	})
 
 	t.Run("k zero is exhaustive", func(t *testing.T) {
@@ -227,7 +186,7 @@ func TestTopKAdversarial(t *testing.T) {
 		r := rand.New(rand.NewSource(24))
 		for q := 0; q < 3; q++ {
 			need := randomNeed(r)
-			assertScoredBitIdentical(t, "k0", flat.Score(need, 0.6), flat.ScoreTopK(need, 0.6, 0, nil))
+			assertScoredBitIdentical(t, "k0", exhaustiveTopK(flat, need, 0.6, 0, nil), flat.Search(Query{Need: need, Alpha: 0.6}))
 		}
 	})
 
@@ -235,7 +194,7 @@ func TestTopKAdversarial(t *testing.T) {
 		docs := randomDocs(25, 80, 0)
 		flat := flatFromDocs(docs)
 		need := analysis.Analyzed{Terms: map[string]int{"neverindexedterm": 1, "alsounseen": 2}}
-		if got := flat.ScoreTopK(need, 0.6, 5, nil); len(got) != 0 {
+		if got := flat.Search(Query{Need: need, Alpha: 0.6, K: 5}); len(got) != 0 {
 			t.Fatalf("unseen-term need matched %d docs", len(got))
 		}
 	})
@@ -245,7 +204,7 @@ func TestTopKAdversarial(t *testing.T) {
 		flat := flatFromDocs(docs)
 		r := rand.New(rand.NewSource(27))
 		need := randomNeed(r)
-		if got := flat.ScoreTopK(need, 0.6, 5, func(DocID) bool { return false }); len(got) != 0 {
+		if got := flat.Search(Query{Need: need, Alpha: 0.6, K: 5, Accept: func(DocID) bool { return false }}); len(got) != 0 {
 			t.Fatalf("all-rejecting accept matched %d docs", len(got))
 		}
 	})
@@ -264,12 +223,12 @@ func TestTopKDeterministicRepetition(t *testing.T) {
 	need := randomNeed(r)
 	accept := func(d DocID) bool { return d%2 == 0 }
 
-	base := flat.ScoreTopK(need, 0.6, 10, accept)
+	base := flat.Search(Query{Need: need, Alpha: 0.6, K: 10, Accept: accept})
 	assertScoredBitIdentical(t, "reference", exhaustiveTopK(flat, need, 0.6, 10, accept), base)
 	for i := 0; i < 50; i++ {
-		assertScoredBitIdentical(t, fmt.Sprintf("rep%d monolith", i), base, flat.ScoreTopK(need, 0.6, 10, accept))
-		assertScoredBitIdentical(t, fmt.Sprintf("rep%d sharded", i), base, sharded.ScoreTopK(need, 0.6, 10, accept))
-		assertScoredBitIdentical(t, fmt.Sprintf("rep%d scatter", i), base, scatterTopK(scatterIxs, flat, need, 0.6, 10, accept))
+		assertScoredBitIdentical(t, fmt.Sprintf("rep%d monolith", i), base, flat.Search(Query{Need: need, Alpha: 0.6, K: 10, Accept: accept}))
+		assertScoredBitIdentical(t, fmt.Sprintf("rep%d sharded", i), base, sharded.Search(Query{Need: need, Alpha: 0.6, K: 10, Accept: accept}))
+		assertScoredBitIdentical(t, fmt.Sprintf("rep%d scatter", i), base, scatterSearch(scatterIxs, flat, Query{Need: need, Alpha: 0.6, K: 10, Accept: accept}))
 	}
 }
 
@@ -282,7 +241,7 @@ func TestTopKConcurrent(t *testing.T) {
 	sharded.AddBatch(docs)
 	r := rand.New(rand.NewSource(42))
 	need := randomNeed(r)
-	want := flat.ScoreTopK(need, 0.6, 10, nil)
+	want := exhaustiveTopK(flat, need, 0.6, 10, nil)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -290,8 +249,8 @@ func TestTopKConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				assertScoredBitIdentical(t, "concurrent monolith", want, flat.ScoreTopK(need, 0.6, 10, nil))
-				assertScoredBitIdentical(t, "concurrent sharded", want, sharded.ScoreTopK(need, 0.6, 10, nil))
+				assertScoredBitIdentical(t, "concurrent monolith", want, flat.Search(Query{Need: need, Alpha: 0.6, K: 10}))
+				assertScoredBitIdentical(t, "concurrent sharded", want, sharded.Search(Query{Need: need, Alpha: 0.6, K: 10}))
 			}
 		}()
 	}
@@ -320,13 +279,12 @@ func TestShardedLivePoolSingleTerm(t *testing.T) {
 	if len(live) != 1 {
 		t.Fatalf("single-term plan reports %d live shards, want 1", len(live))
 	}
-	want := flat.Score(need, 1)
+	want := exhaustiveTopK(flat, need, 1, 0, nil)
 	if len(want) != 1 || want[0].Doc != rare.ID {
 		t.Fatalf("reference ranking wrong: %+v", want)
 	}
 	assertScoredBitIdentical(t, "live pool", want, s.Score(need, 1))
-	assertScoredBitIdentical(t, "live pool workers", want, s.ScoreWorkers(need, 1, 8))
-	assertScoredBitIdentical(t, "live pool topk", want, s.ScoreTopK(need, 1, 5, nil))
+	assertScoredBitIdentical(t, "live pool topk", want, s.Search(Query{Need: need, Alpha: 1, K: 5}))
 
 	// A need matching nothing must report no live shards and rank empty.
 	none := analysis.Analyzed{Terms: map[string]int{"neverindexedterm": 1}}
@@ -351,7 +309,7 @@ func BenchmarkScoreTopK(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					flat.ScoreTopK(need, 0.6, k, nil)
+					flat.Search(Query{Need: need, Alpha: 0.6, K: k})
 				}
 			})
 		}

@@ -79,8 +79,10 @@ type WorkloadConfig struct {
 	// hottest needs.
 	ZipfS float64
 	// ColdFraction is the probability that a request asks a
-	// never-seen-before need made of tokens outside every vocabulary —
-	// the zero-match cold tail (default 0.05).
+	// never-seen-before need built around random tokens outside every
+	// vocabulary — the cold tail (default 0.05). Its question template
+	// still carries the indexed words "anyone" and "know", so a cold
+	// need matches the resources holding those, not nothing.
 	ColdFraction float64
 }
 
@@ -217,9 +219,11 @@ func (w *Workload) Pool() []string {
 	return out
 }
 
-// coldNeed fabricates a need whose tokens appear in no vocabulary, so
-// it exercises the zero-match path end to end (analysis still runs,
-// matching finds nothing).
+// coldNeed fabricates a never-seen need: three random tokens that
+// appear in no vocabulary, wrapped in a fixed question template. The
+// random tokens match nothing, but the template words "anyone" and
+// "know" are indexed, so matching still scores the resources that
+// contain them.
 func coldNeed(rng *rand.Rand) string {
 	word := func() string {
 		n := 6 + rng.Intn(5)
